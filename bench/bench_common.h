@@ -1,6 +1,8 @@
 // Shared helpers for the paper-reproduction benchmark harnesses.
 #pragma once
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
@@ -95,6 +97,8 @@ inline std::string JsonPathFromArgs(int argc, char** argv) {
 /// BENCH_*.json without per-bench parsing:
 ///
 ///   { "bench":   "<harness name>",
+///     "host":    { "nproc": <online cores>, "compiler": "<__VERSION__>",
+///                  "build_type": "<CMAKE_BUILD_TYPE>" },
 ///     "params":  { <knobs the run was invoked with> },
 ///     "metrics": { "<section>": { <numeric results> }, ... } }
 ///
@@ -148,6 +152,11 @@ class JsonReport {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"%s\",\n", bench_name_.c_str());
+    std::fprintf(f,
+                 "  \"host\": {\"nproc\": %ld, \"compiler\": \"%s\", "
+                 "\"build_type\": \"%s\"},\n",
+                 ::sysconf(_SC_NPROCESSORS_ONLN), __VERSION__,
+                 GAA_BENCH_BUILD_TYPE);
     std::fprintf(f, "  \"params\": {");
     for (std::size_t i = 0; i < params_.size(); ++i) {
       std::fprintf(f, "%s\"%s\": %.6g", i == 0 ? "" : ", ",

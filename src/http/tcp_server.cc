@@ -1619,15 +1619,6 @@ void TcpClient::Close() {
   fd_ = -1;
 }
 
-bool TcpClient::SendRaw(const std::string& raw) {
-  if (fd_ < 0) return false;
-  if (!SendAll(fd_, raw)) {
-    Close();
-    return false;
-  }
-  return true;
-}
-
 util::Result<std::string> TcpClient::RoundTrip(const std::string& raw) {
   if (fd_ < 0) {
     return Error(ErrorCode::kUnavailable, "not connected");

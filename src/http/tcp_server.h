@@ -281,14 +281,10 @@ class TcpClient {
 
   bool connected() const { return fd_ >= 0; }
 
-  /// Send one raw request and read exactly one framed response.
+  /// Send one raw request and read exactly one framed response.  Fails,
+  /// closing the connection, when the peer closes first or no complete
+  /// response arrives within `timeout_ms` (a recv error).
   util::Result<std::string> RoundTrip(const std::string& raw);
-
-  /// Send raw bytes without waiting for a response — the open-loop load
-  /// driver uses this for deliberately unfinished requests (slowloris-style
-  /// partial heads), typically followed by Close() so the server diagnoses
-  /// a truncated request.  Returns false when the peer is gone.
-  bool SendRaw(const std::string& raw);
 
   /// Close the client side of the connection.
   void Close();

@@ -1,106 +1,6 @@
 #include "workload/loadgen.h"
 
-#include <chrono>
-#include <cmath>
-#include <cstdlib>
-#include <memory>
-#include <thread>
-
-#include "http/tcp_server.h"
-#include "util/strings.h"
-
 namespace gaa::workload {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::int64_t MicrosBetween(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-      .count();
-}
-
-int ParseStatus(const std::string& response) {
-  std::size_t sp = response.find(' ');
-  if (sp == std::string::npos || sp + 4 > response.size()) return 0;
-  return std::atoi(response.c_str() + sp + 1);
-}
-
-/// Did the server announce it will close after this response?  (Protocol
-/// failures do; the driver must reconnect before the next request.)
-bool WantsClose(const std::string& response) {
-  std::size_t head_end = response.find("\r\n\r\n");
-  std::string head = util::ToLower(
-      response.substr(0, head_end == std::string::npos ? response.size()
-                                                       : head_end));
-  return head.find("connection: close") != std::string::npos;
-}
-
-/// One request's raw outcome, produced by a connection thread.
-struct RawOutcome {
-  RequestKind kind = RequestKind::kStaticPage;
-  std::int64_t intended_us = 0;
-  std::int64_t latency_us = 0;  ///< completion - intended (open loop)
-  std::int64_t service_us = 0;  ///< completion - actual send
-  int status = 0;
-  bool responded = false;
-  bool transport_error = false;
-};
-
-void RunConnection(std::uint16_t port, int timeout_ms,
-                   Clock::time_point epoch,
-                   const std::vector<const ScheduledRequest*>& requests,
-                   std::vector<RawOutcome>* out) {
-  std::unique_ptr<http::TcpClient> client;
-  out->reserve(requests.size());
-  for (const ScheduledRequest* sr : requests) {
-    const Clock::time_point intended =
-        epoch + std::chrono::microseconds(sr->intended_us);
-    std::this_thread::sleep_until(intended);
-
-    RawOutcome o;
-    o.kind = sr->request.kind;
-    o.intended_us = sr->intended_us;
-    const Clock::time_point send_tp = Clock::now();
-
-    if (client == nullptr || !client->connected()) {
-      client = std::make_unique<http::TcpClient>(port, timeout_ms);
-    }
-    if (!client->connected()) {
-      o.transport_error = true;
-    } else if (IsPartialRequestKind(sr->request.kind)) {
-      // Slowloris: deliver the unfinished head and abandon the connection.
-      // No response is expected — the server diagnoses a truncated request
-      // and feeds the IDS; the next request here reconnects.
-      if (!client->SendRaw(sr->request.raw)) o.transport_error = true;
-      client->Close();
-    } else {
-      auto response = client->RoundTrip(sr->request.raw);
-      if (response.ok()) {
-        o.responded = true;
-        o.status = ParseStatus(response.value());
-        if (WantsClose(response.value())) client->Close();
-      } else {
-        o.transport_error = true;  // RoundTrip closed the socket already
-      }
-    }
-
-    const Clock::time_point done_tp = Clock::now();
-    o.latency_us = MicrosBetween(epoch, done_tp) - sr->intended_us;
-    if (o.latency_us < 0) o.latency_us = 0;
-    o.service_us = MicrosBetween(send_tp, done_tp);
-    out->push_back(o);
-  }
-}
-
-}  // namespace
-
-LoadScenario BenignScenario() {
-  return LoadScenario{"benign",
-                      {{RequestKind::kStaticPage, 0.70},
-                       {RequestKind::kSearchCgi, 0.20},
-                       {RequestKind::kPrivatePage, 0.10}}};
-}
 
 LoadScenario MixedScenario() {
   LoadScenario out{"mixed",
@@ -116,140 +16,6 @@ LoadScenario MixedScenario() {
       RequestKind::kHeaderFlood,    RequestKind::kCachePoison};
   for (RequestKind kind : attacks) out.mix.emplace_back(kind, 0.01);
   return out;
-}
-
-LoadScenario AdversarialScenario() {
-  return LoadScenario{"adversarial",
-                      {{RequestKind::kCgiProbe, 0.1},
-                       {RequestKind::kDosSlashes, 0.1},
-                       {RequestKind::kNimdaPercent, 0.1},
-                       {RequestKind::kOverflowInput, 0.1},
-                       {RequestKind::kIllFormed, 0.1},
-                       {RequestKind::kSlowHeaders, 0.1},
-                       {RequestKind::kSmugglingProbe, 0.1},
-                       {RequestKind::kPathTraversal, 0.1},
-                       {RequestKind::kHeaderFlood, 0.1},
-                       {RequestKind::kCachePoison, 0.1}}};
-}
-
-LoadGenerator::LoadGenerator(LoadgenOptions options, LoadScenario scenario)
-    : options_(std::move(options)), scenario_(std::move(scenario)) {}
-
-std::vector<ScheduledRequest> LoadGenerator::BuildSchedule() {
-  // Two independent streams: arrivals and request content.  Both are
-  // seeded from options_.seed, so the schedule is a pure function of the
-  // options — the determinism contract the loadgen test pins down.
-  util::Rng arrival_rng(options_.seed ^ 0x9e3779b97f4a7c15ULL);
-  TraceOptions trace = options_.trace;
-  trace.seed = options_.seed;
-  TraceGenerator generator(trace);
-  util::Rng mix_rng(options_.seed + 1);
-
-  double total_weight = 0;
-  for (const auto& [kind, weight] : scenario_.mix) total_weight += weight;
-
-  std::vector<ScheduledRequest> schedule;
-  schedule.reserve(options_.total_requests);
-  const double mean_gap_us =
-      options_.rate_rps > 0 ? 1e6 / options_.rate_rps : 0;
-  double cursor_us = 0;
-  for (std::size_t i = 0; i < options_.total_requests; ++i) {
-    if (i > 0) {
-      if (options_.arrivals == ArrivalProcess::kPoisson) {
-        // Exponential interarrival; clamp the uniform away from 0 so the
-        // log is finite.
-        double u = arrival_rng.NextDouble();
-        if (u < 1e-12) u = 1e-12;
-        cursor_us += -std::log(u) * mean_gap_us;
-      } else {
-        cursor_us += mean_gap_us;
-      }
-    }
-
-    double pick = mix_rng.NextDouble() * total_weight;
-    RequestKind kind = scenario_.mix.empty()
-                           ? RequestKind::kStaticPage
-                           : scenario_.mix.back().first;
-    for (const auto& [candidate, weight] : scenario_.mix) {
-      if (pick < weight) {
-        kind = candidate;
-        break;
-      }
-      pick -= weight;
-    }
-
-    ScheduledRequest sr;
-    sr.intended_us = static_cast<std::int64_t>(cursor_us);
-    sr.connection =
-        options_.connections > 0 ? i % options_.connections : 0;
-    sr.request = generator.Make(kind);
-    schedule.push_back(std::move(sr));
-  }
-  return schedule;
-}
-
-LoadResult LoadGenerator::Run(std::uint16_t port) {
-  const std::vector<ScheduledRequest> schedule = BuildSchedule();
-  const std::size_t nconn = std::max<std::size_t>(1, options_.connections);
-
-  std::vector<std::vector<const ScheduledRequest*>> per_conn(nconn);
-  for (const ScheduledRequest& sr : schedule) {
-    per_conn[sr.connection % nconn].push_back(&sr);
-  }
-
-  // A short runway so every connection thread exists before the first
-  // arrival; intended times are offsets from this shared epoch.
-  const Clock::time_point epoch =
-      Clock::now() + std::chrono::milliseconds(50);
-  std::vector<std::vector<RawOutcome>> outcomes(nconn);
-  std::vector<std::thread> threads;
-  threads.reserve(nconn);
-  for (std::size_t c = 0; c < nconn; ++c) {
-    threads.emplace_back(RunConnection, port, options_.timeout_ms, epoch,
-                         std::cref(per_conn[c]), &outcomes[c]);
-  }
-  for (std::thread& t : threads) t.join();
-
-  telemetry::Histogram latency(telemetry::Histogram::WideLatencyBoundsUs());
-  telemetry::Histogram benign(telemetry::Histogram::WideLatencyBoundsUs());
-  telemetry::Histogram service(telemetry::Histogram::WideLatencyBoundsUs());
-  LoadResult result;
-  std::int64_t last_completion_us = 0;
-  for (const auto& conn_outcomes : outcomes) {
-    for (const RawOutcome& o : conn_outcomes) {
-      ++result.sent;
-      const auto lat = static_cast<std::uint64_t>(o.latency_us);
-      latency.Record(lat);
-      service.Record(static_cast<std::uint64_t>(o.service_us));
-      if (!IsAttackKind(o.kind)) benign.Record(lat);
-
-      KindStats& ks = result.by_kind[RequestKindName(o.kind)];
-      ++ks.sent;
-      if (o.responded) {
-        ++result.responded;
-        if (o.status >= 200 && o.status < 300) ++ks.ok_2xx;
-        if (o.status >= 400 && o.status < 500) ++ks.status_4xx;
-        if (o.status >= 500) ++ks.status_5xx;
-      } else {
-        ++ks.no_response;
-        if (o.transport_error && !IsPartialRequestKind(o.kind)) {
-          ++result.transport_errors;
-        }
-      }
-      last_completion_us =
-          std::max(last_completion_us, o.intended_us + o.latency_us);
-    }
-  }
-  result.latency = latency.TakeSnapshot();
-  result.benign_latency = benign.TakeSnapshot();
-  result.service = service.TakeSnapshot();
-  result.duration_us = last_completion_us;
-  result.achieved_rps =
-      last_completion_us > 0
-          ? static_cast<double>(result.sent) * 1e6 /
-                static_cast<double>(last_completion_us)
-          : 0.0;
-  return result;
 }
 
 }  // namespace gaa::workload

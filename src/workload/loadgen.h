@@ -1,37 +1,21 @@
-// Open-loop load generator (ROADMAP item 3; EXPERIMENTS.md E7).
+// Weighted request mixes over the workload::RequestKind corpus.
 //
-// The E-series microbenches are closed-loop: each client thread waits for
-// the previous response before sending the next request, so a stalled
-// server silently *slows the offered load down* and the measured latency
-// flatters the tail — coordinated omission.  This driver is open-loop: a
-// deterministic (or seeded-Poisson) arrival schedule fixes each request's
-// *intended* send time before the run starts, and every request's latency
-// is measured from that intended time.  If the server stalls, requests
-// queue up behind the stall and their wait is charged to latency — exactly
-// what a real user arriving at a fixed rate would experience.
-//
-// Scenarios compose the workload::RequestKind corpus (benign mixes plus
-// the widened adversarial set) with per-kind weights; the schedule —
-// arrival times, kinds, raw request bytes, connection assignment — is a
-// pure function of the seed, so two runs with the same options produce
-// byte-identical schedules (the determinism the loadgen test pins down).
+// A LoadScenario says which kinds a load driver sends and in what
+// proportion.  MixedScenario() is the paper's scenario: benign users
+// (static pages, search CGI, authenticated /private) carry 90% of the
+// weight and the remaining 10% spreads over the full attack corpus.  The
+// repository benchmark's `mixed` workload (perfbench/) draws its requests
+// from it, and integration_attack_corpus_test checks that every kind it
+// names is classified exactly.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "telemetry/metrics.h"
 #include "workload/trace.h"
 
 namespace gaa::workload {
-
-/// Interarrival process for the open-loop schedule.
-enum class ArrivalProcess {
-  kDeterministic,  ///< fixed 1/rate gaps
-  kPoisson,        ///< exponential gaps (memoryless arrivals), seeded
-};
 
 /// A weighted mix of request kinds.
 struct LoadScenario {
@@ -39,73 +23,7 @@ struct LoadScenario {
   std::vector<std::pair<RequestKind, double>> mix;  ///< kind -> weight
 };
 
-/// Canonical scenarios for the E7 sweep.
-LoadScenario BenignScenario();       ///< static/search/private traffic only
-LoadScenario MixedScenario();        ///< 90% benign, 10% across all attacks
-LoadScenario AdversarialScenario();  ///< the full widened attack corpus
-
-struct LoadgenOptions {
-  std::uint64_t seed = 42;
-  double rate_rps = 100.0;         ///< offered arrival rate
-  std::size_t total_requests = 1000;
-  std::size_t connections = 8;     ///< concurrent keep-alive connections
-  ArrivalProcess arrivals = ArrivalProcess::kPoisson;
-  int timeout_ms = 10000;          ///< per-connection socket timeout
-  TraceOptions trace;              ///< request-body generator knobs
-};
-
-/// One scheduled request: everything fixed before the run starts.
-struct ScheduledRequest {
-  std::int64_t intended_us = 0;  ///< offset from run start
-  std::size_t connection = 0;    ///< owning connection (round-robin)
-  TraceRequest request;
-};
-
-/// Per-kind outcome tally, keyed by RequestKindName.
-struct KindStats {
-  std::uint64_t sent = 0;
-  std::uint64_t ok_2xx = 0;
-  std::uint64_t status_4xx = 0;   ///< classified/denied by the pipeline
-  std::uint64_t status_5xx = 0;
-  std::uint64_t no_response = 0;  ///< transport error or deliberate close
-};
-
-struct LoadResult {
-  /// Coordinated-omission-free latency (completion minus *intended* send
-  /// time), wide log-bucketed range so multi-second stalls stay visible.
-  telemetry::Histogram::Snapshot latency;
-  /// Benign-kind requests only — the SLO population.
-  telemetry::Histogram::Snapshot benign_latency;
-  /// Closed-loop view (completion minus actual send) for comparison; the
-  /// gap between this and `latency` is the coordinated omission a closed
-  /// loop would have hidden.
-  telemetry::Histogram::Snapshot service;
-
-  std::uint64_t sent = 0;
-  std::uint64_t responded = 0;
-  std::uint64_t transport_errors = 0;
-  std::int64_t duration_us = 0;   ///< first intended send to last completion
-  double achieved_rps = 0.0;
-  std::map<std::string, KindStats> by_kind;
-};
-
-class LoadGenerator {
- public:
-  LoadGenerator(LoadgenOptions options, LoadScenario scenario);
-
-  /// The full arrival schedule: a pure function of (options, scenario).
-  /// Building it does not touch the network or the clock.
-  std::vector<ScheduledRequest> BuildSchedule();
-
-  /// Execute the schedule against 127.0.0.1:port with one thread per
-  /// connection.  Requests that find their connection closed (the server
-  /// closes after protocol-failure 4xxs) reconnect inline — the reconnect
-  /// cost is charged to that request's latency, as open loop demands.
-  LoadResult Run(std::uint16_t port);
-
- private:
-  LoadgenOptions options_;
-  LoadScenario scenario_;
-};
+/// 90% benign, 10% across all attacks.
+LoadScenario MixedScenario();
 
 }  // namespace gaa::workload

@@ -110,14 +110,14 @@ std::string GetRequest(const std::string& target) {
 /// Closed-loop load thread: keep-alive round trips, reconnecting after
 /// connection errors (an in-flight request on a killed process dies with
 /// it — that is a transport error, never a 5xx).
-struct LoadResult {
+struct LoadTally {
   std::uint64_t ok = 0;
   std::uint64_t server_errors = 0;  // 5xx responses — must stay zero
   std::uint64_t disconnects = 0;    // transport errors (killed peer)
 };
 
-LoadResult RunLoad(std::uint16_t port, std::atomic<bool>* stop) {
-  LoadResult result;
+LoadTally RunLoad(std::uint16_t port, std::atomic<bool>* stop) {
+  LoadTally result;
   auto client = std::make_unique<http::TcpClient>(port);
   std::uint64_t i = 0;
   while (!stop->load()) {
@@ -265,7 +265,7 @@ TEST(ClusterKill, KillOneProcessUnderLoadLosesNothing) {
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  std::vector<LoadResult> results(4);
+  std::vector<LoadTally> results(4);
   for (std::size_t i = 0; i < results.size(); ++i) {
     threads.emplace_back([&, i] {
       results[i] = RunLoad(supervisor.port(), &stop);

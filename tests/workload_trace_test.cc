@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "http/request.h"
+#include "workload/loadgen.h"
 
 namespace gaa::workload {
 namespace {
@@ -123,6 +124,29 @@ TEST(RequestKindNames, AllNamed) {
   EXPECT_STREQ(RequestKindName(RequestKind::kUnknownProbe), "unknown_probe");
   EXPECT_TRUE(IsAttackKind(RequestKind::kDosSlashes));
   EXPECT_FALSE(IsAttackKind(RequestKind::kSearchCgi));
+}
+
+TEST(MixedScenario, NinetyPercentBenignOverTheWidenedAttackCorpus) {
+  // perfbench's `mixed` workload draws from this mix: it must stay ~90%
+  // benign and name every attack kind of the widened corpus.
+  double benign_weight = 0, total_weight = 0;
+  bool has_slow = false, has_smuggle = false, has_traversal = false,
+       has_flood = false, has_poison = false;
+  for (const auto& [kind, weight] : MixedScenario().mix) {
+    total_weight += weight;
+    if (!IsAttackKind(kind)) benign_weight += weight;
+    if (kind == RequestKind::kSlowHeaders) has_slow = true;
+    if (kind == RequestKind::kSmugglingProbe) has_smuggle = true;
+    if (kind == RequestKind::kPathTraversal) has_traversal = true;
+    if (kind == RequestKind::kHeaderFlood) has_flood = true;
+    if (kind == RequestKind::kCachePoison) has_poison = true;
+  }
+  EXPECT_NEAR(benign_weight / total_weight, 0.9, 0.01);
+  EXPECT_TRUE(has_slow);
+  EXPECT_TRUE(has_smuggle);
+  EXPECT_TRUE(has_traversal);
+  EXPECT_TRUE(has_flood);
+  EXPECT_TRUE(has_poison);
 }
 
 }  // namespace
