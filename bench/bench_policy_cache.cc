@@ -1,13 +1,17 @@
-// A1 — ablation of the policy cache (paper §9 future work: "we will add
+// A1 — ablation of policy caching (paper §9 future work: "we will add
 // support for caching of the retrieved and translated policies for later
 // reuse by subsequent requests").
 //
 // The paper's implementation read and translated the policy files on every
-// request (gaa_get_object_policy_info); the cache was to remove that cost.
-// We therefore run the store in its paper-faithful parse-on-retrieve mode
-// and sweep the policy size, comparing the per-request cost with the cache
-// disabled vs enabled, plus hit rate and post-change invalidation cost.
+// request (gaa_get_object_policy_info).  The compiled PolicySnapshot is the
+// §9 cache: policies are parsed and compiled once per change and published
+// for lock-free reuse.  We sweep the policy size and compare the
+// paper-faithful parse-on-retrieve interpreter with the compiled snapshot,
+// for two policy families: signature entries (effect conditions, so no
+// decision memoization) and pure host screening (memoized).  A1b checks
+// that the request after a policy change sees the new policy.
 #include <cstdio>
+#include <memory>
 
 #include "bench_common.h"
 #include "util/clock.h"
@@ -30,8 +34,7 @@ std::string PolicyWithEntries(int entries) {
 /// unconditional grant.  Every condition is kPure, so the compiled engine
 /// both pre-parses the CIDRs at compile time AND memoizes the terminal
 /// decision — the interpreter re-tokenizes and re-parses each CIDR on every
-/// request (signature entries are kEffect and would disable memoization,
-/// which A1c measures separately via the hit-rate column).
+/// request.
 std::string HostPolicyWithEntries(int entries) {
   std::string text;
   for (int i = 0; i < entries - 1; ++i) {
@@ -53,6 +56,24 @@ double MeasureMeanMs(gaa::web::GaaWebServer& server, int iterations) {
   return Summarize(std::move(samples)).mean_ms;
 }
 
+/// Server with `policy` on "/": the compiled snapshot engine (the default)
+/// or the paper-faithful parse-on-retrieve interpreter.
+std::unique_ptr<gaa::web::GaaWebServer> MakeServer(bool compiled,
+                                                   const std::string& policy) {
+  gaa::web::GaaWebServer::Options options;
+  options.use_real_clock = true;
+  options.notification_latency_us = 0;
+  options.enable_compiled_engine = compiled;
+  auto server = std::make_unique<gaa::web::GaaWebServer>(
+      gaa::http::DocTree::DemoSite(), options);
+  server->policy_store().SetParseOnRetrieve(!compiled);
+  if (!server->SetLocalPolicy("/", policy).ok()) {
+    std::fprintf(stderr, "policy setup failed\n");
+    std::exit(1);
+  }
+  return server;
+}
+
 }  // namespace
 }  // namespace gaa::bench
 
@@ -61,128 +82,65 @@ int main(int argc, char** argv) {
   JsonReport report("policy_cache");
   const std::string json_path = JsonPathFromArgs(argc, argv);
 
-  PrintHeader("A1: policy-cache ablation (paper section 9 future work)");
-  std::printf("%-10s %14s %14s %10s %10s\n", "entries", "no_cache_ms",
-              "cache_ms", "speedup", "hit_rate");
-
-  for (int entries : {1, 4, 16, 64, 256}) {
-    double no_cache_ms;
-    {
-      gaa::web::GaaWebServer::Options options;
-      options.use_real_clock = true;
-      options.notification_latency_us = 0;
-      options.enable_policy_cache = false;
-      options.enable_compiled_engine = false;
-      gaa::web::GaaWebServer server(gaa::http::DocTree::DemoSite(), options);
-      server.policy_store().SetParseOnRetrieve(true);
-      if (!server.SetLocalPolicy("/", PolicyWithEntries(entries)).ok()) {
-        std::fprintf(stderr, "policy setup failed\n");
-        return 1;
-      }
-      no_cache_ms = MeasureMeanMs(server, 2000);
+  PrintHeader("A1: parse-on-retrieve interpreter vs compiled snapshot "
+              "(paper section 9 future work)");
+  std::printf("%-10s %-10s %14s %14s %10s %10s\n", "policy", "entries",
+              "parse_ms", "compiled_ms", "speedup", "memo_hit");
+  struct Family {
+    const char* name;
+    std::string (*policy)(int);
+  };
+  for (const Family& family : {Family{"signature", PolicyWithEntries},
+                               Family{"host", HostPolicyWithEntries}}) {
+    for (int entries : {1, 4, 16, 64, 256}) {
+      const std::string policy = family.policy(entries);
+      auto parsed = MakeServer(/*compiled=*/false, policy);
+      (void)MeasureMeanMs(*parsed, 200);  // warm
+      double parse_ms = MeasureMeanMs(*parsed, 2000);
+      auto compiled = MakeServer(/*compiled=*/true, policy);
+      (void)MeasureMeanMs(*compiled, 200);  // warm
+      double compiled_ms = MeasureMeanMs(*compiled, 2000);
+      const auto& memo = compiled->api().decision_cache();
+      double lookups = static_cast<double>(memo.hits() + memo.misses());
+      double memo_hit_rate =
+          lookups > 0 ? 100.0 * static_cast<double>(memo.hits()) / lookups
+                      : 0.0;
+      std::printf("%-10s %-10d %14.5f %14.5f %9.2fx %9.1f%%\n", family.name,
+                  entries, parse_ms, compiled_ms, parse_ms / compiled_ms,
+                  memo_hit_rate);
+      const std::string key =
+          std::string(family.name) + "_" + std::to_string(entries);
+      report.Set(key, "parse_on_retrieve_ms", parse_ms);
+      report.Set(key, "compiled_ms", compiled_ms);
+      report.Set(key, "speedup", parse_ms / compiled_ms);
+      report.Set(key, "memo_hit_rate_pct", memo_hit_rate);
     }
-    double cache_ms;
-    double hit_rate;
-    {
-      gaa::web::GaaWebServer::Options options;
-      options.use_real_clock = true;
-      options.notification_latency_us = 0;
-      options.enable_policy_cache = true;
-      options.enable_compiled_engine = false;
-      gaa::web::GaaWebServer server(gaa::http::DocTree::DemoSite(), options);
-      server.policy_store().SetParseOnRetrieve(true);
-      if (!server.SetLocalPolicy("/", PolicyWithEntries(entries)).ok()) {
-        std::fprintf(stderr, "policy setup failed\n");
-        return 1;
-      }
-      cache_ms = MeasureMeanMs(server, 2000);
-      const auto& cache = server.api().cache();
-      hit_rate = 100.0 * static_cast<double>(cache.hits()) /
-                 static_cast<double>(cache.hits() + cache.misses());
-    }
-    std::printf("%-10d %14.5f %14.5f %9.2fx %9.1f%%\n", entries, no_cache_ms,
-                cache_ms, no_cache_ms / cache_ms, hit_rate);
-    const std::string suffix = std::to_string(entries);
-    report.Set("lru_ablation_" + suffix, "no_cache_ms", no_cache_ms);
-    report.Set("lru_ablation_" + suffix, "cache_ms", cache_ms);
-    report.Set("lru_ablation_" + suffix, "hit_rate_pct", hit_rate);
   }
 
-  // A1c — the compiled engine (DESIGN.md §9) against the LRU policy cache,
-  // both warm.  The LRU removes the compose cost but still interprets the
-  // AST per request; the compiled path does one atomic snapshot load and,
-  // on a memo hit, returns the cached terminal decision outright.
-  PrintHeader("A1c: warm LRU interpreter vs compiled snapshot engine");
-  std::printf("%-10s %14s %14s %10s\n", "entries", "lru_warm_ms",
-              "compiled_ms", "speedup");
-  for (int entries : {1, 16, 64, 256}) {
-    double lru_ms;
-    {
-      gaa::web::GaaWebServer::Options options;
-      options.use_real_clock = true;
-      options.notification_latency_us = 0;
-      options.enable_policy_cache = true;
-      options.enable_compiled_engine = false;
-      gaa::web::GaaWebServer server(gaa::http::DocTree::DemoSite(), options);
-      if (!server.SetLocalPolicy("/", HostPolicyWithEntries(entries)).ok()) {
-        std::fprintf(stderr, "policy setup failed\n");
-        return 1;
-      }
-      (void)MeasureMeanMs(server, 200);  // warm
-      lru_ms = MeasureMeanMs(server, 2000);
-    }
-    double compiled_ms;
-    double memo_hit_rate;
-    {
-      gaa::web::GaaWebServer::Options options;
-      options.use_real_clock = true;
-      options.notification_latency_us = 0;
-      gaa::web::GaaWebServer server(gaa::http::DocTree::DemoSite(), options);
-      if (!server.SetLocalPolicy("/", HostPolicyWithEntries(entries)).ok()) {
-        std::fprintf(stderr, "policy setup failed\n");
-        return 1;
-      }
-      (void)MeasureMeanMs(server, 200);  // warm
-      compiled_ms = MeasureMeanMs(server, 2000);
-      const auto& memo = server.api().decision_cache();
-      memo_hit_rate = 100.0 * static_cast<double>(memo.hits()) /
-                      static_cast<double>(memo.hits() + memo.misses());
-    }
-    std::printf("%-10d %14.5f %14.5f %9.2fx  (memo hit %4.1f%%)\n", entries,
-                lru_ms, compiled_ms, lru_ms / compiled_ms, memo_hit_rate);
-    const std::string suffix = std::to_string(entries);
-    report.Set("compiled_vs_lru_" + suffix, "lru_warm_ms", lru_ms);
-    report.Set("compiled_vs_lru_" + suffix, "compiled_ms", compiled_ms);
-    report.Set("compiled_vs_lru_" + suffix, "speedup", lru_ms / compiled_ms);
-    report.Set("compiled_vs_lru_" + suffix, "memo_hit_rate_pct",
-               memo_hit_rate);
+  // A policy change mid-run must be seen by the very next request; only
+  // that request pays the post-swap memo miss.
+  PrintHeader("A1b: snapshot republication on policy change");
+  auto server = MakeServer(/*compiled=*/true, HostPolicyWithEntries(64));
+  (void)MeasureMeanMs(*server, 500);  // warm the memo
+  if (!server->SetLocalPolicy("/", "neg_access_right apache *\n").ok()) {
+    return 1;
   }
-
-  // Invalidation correctness cost: a policy change mid-run must be seen
-  // immediately; only the next retrieval per object pays the refill.
-  PrintHeader("A1b: cache invalidation on policy change");
-  gaa::web::GaaWebServer::Options options;
-  options.use_real_clock = true;
-  options.notification_latency_us = 0;
-  options.enable_policy_cache = true;
-  gaa::web::GaaWebServer server(gaa::http::DocTree::DemoSite(), options);
-  server.policy_store().SetParseOnRetrieve(true);
-  if (!server.SetLocalPolicy("/", PolicyWithEntries(64)).ok()) return 1;
-  (void)MeasureMeanMs(server, 500);  // warm the cache
-  auto before = server.api().cache().misses();
-  if (!server.SetLocalPolicy("/", PolicyWithEntries(64)).ok()) return 1;
   double first_after_change;
+  gaa::http::StatusCode status;
   {
     gaa::util::Stopwatch watch;
-    (void)server.Get("/docs/guide.html", "10.0.0.1");
+    status = server->Get("/docs/guide.html", "10.0.0.1").status;
     first_after_change = watch.ElapsedMs();
   }
-  double steady_after = MeasureMeanMs(server, 500);
-  std::printf("first request after change: %.5f ms (cache refill), steady "
-              "state after: %.5f ms, extra misses: %llu\n",
-              first_after_change, steady_after,
-              static_cast<unsigned long long>(server.api().cache().misses() -
-                                              before));
-  if (!report.WriteFile(json_path)) return 1;
-  return 0;
+  if (status != gaa::http::StatusCode::kForbidden) {
+    std::fprintf(stderr, "request after a policy change saw the old policy\n");
+    return 1;
+  }
+  double steady_after = MeasureMeanMs(*server, 500);
+  std::printf("first request after change: %.5f ms (denied, as the new "
+              "policy says), steady state after: %.5f ms\n",
+              first_after_change, steady_after);
+  report.Set("invalidation", "first_after_change_ms", first_after_change);
+  report.Set("invalidation", "steady_after_ms", steady_after);
+  return report.WriteFile(json_path) ? 0 : 1;
 }

@@ -9,10 +9,6 @@
 //   * end-to-end — req/s through the full GaaWebServer pipeline with
 //     telemetry wired everywhere vs detached entirely
 //     (Options::enable_telemetry = false), reporting the regression.
-//
-// For a compile-time baseline, configure with -DGAA_TELEMETRY_NOOP=ON:
-// every mutation compiles to nothing and this bench reports the residual
-// cost of the call sites themselves.  The banner says which build this is.
 #include <cstdio>
 
 #include <condition_variable>
@@ -56,13 +52,11 @@ double CounterContendedNs() {
   for (auto& t : threads) t.join();
   double ns = static_cast<double>(watch.ElapsedUs()) * 1000.0 /
               (static_cast<double>(per_thread) * kThreads);
-#ifndef GAA_TELEMETRY_NOOP
   if (counter->Value() !=
       static_cast<std::uint64_t>(per_thread) * kThreads) {
     std::fprintf(stderr, "counter lost updates under contention!\n");
     std::exit(1);
   }
-#endif
   return ns;
 }
 
@@ -207,11 +201,7 @@ int main(int argc, char** argv) {
   JsonReport report("telemetry");
   const std::string json_path = JsonPathFromArgs(argc, argv);
 
-#ifdef GAA_TELEMETRY_NOOP
-  PrintHeader("A9: telemetry overhead (GAA_TELEMETRY_NOOP build)");
-#else
   PrintHeader("A9: telemetry overhead");
-#endif
 
   double single_ns = CounterSingleThreadNs();
   double contended_ns = CounterContendedNs();

@@ -34,7 +34,6 @@ using util::Tristate;
 
 GaaApi::GaaApi(PolicyStore* store, EvalServices services)
     : store_(store), services_(services) {
-  cache_.AttachMetrics(services_.metrics);
   decision_cache_.AttachMetrics(services_.metrics);
   // Publish the first compiled snapshot; every later policy mutation
   // republishes under the store's lock.
@@ -80,21 +79,6 @@ eacl::ComposedPolicy GaaApi::GetObjectPolicyInfo(
 
 eacl::ComposedPolicy GaaApi::GetObjectPolicyInfo(const std::string& object_path,
                                                  std::string_view tenant) {
-  if (cache_enabled_) {
-    // The §9 policy cache is keyed per namespace: '\x1f' cannot occur in a
-    // URL path, so tenant-qualified keys never collide with plain paths.
-    std::string cache_key =
-        tenant.empty() ? object_path
-                       : std::string(tenant) + '\x1f' + object_path;
-    std::uint64_t version = store_->version();
-    if (auto cached = cache_.Get(cache_key, version)) {
-      return *std::move(cached);
-    }
-    eacl::ComposedPolicy composed =
-        store_->PoliciesForTenant(tenant, object_path);
-    cache_.Put(cache_key, version, composed);
-    return composed;
-  }
   return store_->PoliciesForTenant(tenant, object_path);
 }
 

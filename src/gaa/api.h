@@ -6,7 +6,7 @@
 //                       catalog and register them.
 //   phase 2a            GetObjectPolicyInfo — retrieve the system-wide and
 //                       local policies protecting an object, compose them
-//                       (§2.1), optionally serving from the policy cache.
+//                       (§2.1).
 //   phase 2c            CheckAuthorization — ordered evaluation of pre- and
 //                       request-result conditions; returns YES / NO / MAYBE
 //                       plus the full evaluation trace and the conditions
@@ -45,7 +45,6 @@
 #include "eacl/ast.h"
 #include "eacl/compile.h"
 #include "eacl/composition.h"
-#include "gaa/cache.h"
 #include "gaa/config.h"
 #include "gaa/context.h"
 #include "gaa/decision_cache.h"
@@ -117,8 +116,8 @@ struct PhaseResult {
 /// Which evaluation pipeline Authorize uses (DESIGN.md §9).
 enum class EngineMode {
   /// Walk the parsed EACL AST per request, resolving routines through the
-  /// registry, with the §9 LRU policy cache in front (the pre-compiler
-  /// pipeline; kept for differential testing and the A1 ablation).
+  /// registry (the pre-compiler pipeline; kept as the differential oracle,
+  /// E1's paper-faithful mode and the A1 ablation's baseline).
   kInterpreted,
   /// Evaluate the compiled IR published by the PolicyStore snapshot —
   /// lock-free lookup, pre-resolved evaluators, decision memoization.
@@ -169,12 +168,6 @@ class GaaApi {
   PhaseResult PostExecutionActions(const AuthzResult& authz,
                                    RequestContext& ctx,
                                    bool operation_succeeded);
-
-  // --- policy cache (paper §9 future work; ablation A1) --------------------
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  bool cache_enabled() const { return cache_enabled_; }
-  const PolicyCache& cache() const { return cache_; }
-  void ClearCache() { cache_.Clear(); }
 
   // --- compiled engine (DESIGN.md §9) --------------------------------------
   void set_engine_mode(EngineMode mode) { engine_mode_ = mode; }
@@ -298,8 +291,6 @@ class GaaApi {
   PolicyStore* store_;
   EvalServices services_;
   ConditionRegistry registry_;
-  PolicyCache cache_;
-  bool cache_enabled_ = false;
   EngineMode engine_mode_ = EngineMode::kCompiled;
   DecisionCache decision_cache_;
   bool decision_cache_enabled_ = true;

@@ -7,7 +7,7 @@
 // prefixes; PoliciesFor(object) gathers the system-wide policies and every
 // local policy on the directory chain of `object`, root to leaf.
 //
-// A monotonically increasing version number lets the policy cache detect
+// A monotonically increasing version number lets the decision memo detect
 // staleness after any policy change.
 //
 // Compiled-engine publication (DESIGN.md §9): once an engine is bound via
@@ -247,7 +247,7 @@ class PolicyStore {
   /// When enabled, PoliciesFor re-parses the stored policy *text* on every
   /// retrieval instead of returning the pre-parsed form.  This models the
   /// paper's implementation, which read and translated the policy files on
-  /// each request — the cost its §9 policy cache was meant to remove.  The
+  /// each request — the cost its §9 policy caching was meant to remove.  The
   /// A1 ablation benchmarks flip this switch.  Also disables the compiled
   /// snapshot path (FreshSnapshot returns null) so the ablation measures
   /// the interpreted pipeline.

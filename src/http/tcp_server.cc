@@ -341,14 +341,6 @@ FrameResult FrameRequest(const std::string& buf, std::size_t max_bytes) {
   return out;
 }
 
-/// Raw accepted socket in flight from the accepting shard to its owner
-/// (fallback mode when SO_REUSEPORT is unavailable).
-struct Handoff {
-  int fd = -1;
-  std::uint32_t ip_host_order = 0;
-  std::uint16_t peer_port = 0;
-};
-
 }  // namespace
 
 // --- per-connection state machine -------------------------------------------
@@ -440,11 +432,10 @@ struct TcpServer::Shard {
   Shard(std::size_t index_arg, std::size_t ring_capacity)
       : index(index_arg),
         jobs(ring_capacity),
-        done(ring_capacity),
-        handoff(ring_capacity) {}
+        done(ring_capacity) {}
 
   const std::size_t index;
-  int listen_fd = -1;  ///< own SO_REUSEPORT listener, or -1 (fallback mode)
+  int listen_fd = -1;  ///< own SO_REUSEPORT listener
   int epoll_fd = -1;
   int wake_fd = -1;  ///< nonblocking eventfd: wakes the shard loop
   int job_efd = -1;  ///< EFD_SEMAPHORE eventfd: parks idle workers
@@ -452,7 +443,6 @@ struct TcpServer::Shard {
   // Loop-thread-only state.
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
   std::uint64_t next_conn_id = kFirstConnId;
-  std::size_t accept_rr = 0;  ///< fallback round-robin cursor (shard 0)
   TimerWheel wheel;
   std::vector<std::string> buf_pool;
   bool stats_dirty = false;
@@ -463,7 +453,6 @@ struct TcpServer::Shard {
   // Lock-free worker handoff: loop pushes jobs, workers push completions.
   util::MpmcRing<Job> jobs;
   util::MpmcRing<Done> done;
-  util::MpmcRing<Handoff> handoff;
 
   // Counters: written by this shard's threads, read by any (stats()).
   std::atomic<std::uint64_t> accepted{0};
@@ -558,18 +547,9 @@ util::VoidResult TcpServer::Start() {
                  "inherited_listen_fds must supply exactly one fd per shard");
   }
 
-  // Probe SO_REUSEPORT support once up front so every shard takes the same
-  // path; a refusing kernel demotes the whole server to fd-handoff mode.
-  bool reuseport = options_.so_reuseport && nshards > 1 && !inherited;
-  if (reuseport) {
-    int probe = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    int one = 1;
-    if (probe < 0 ||
-        setsockopt(probe, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
-      reuseport = false;
-    }
-    if (probe >= 0) ::close(probe);
-  }
+  // Every shard binds its own listener on one port; the kernel balances
+  // accepts across them.
+  const bool reuseport = nshards > 1;
 
   for (std::size_t i = 0; i < nshards; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, ring_capacity));
@@ -581,7 +561,6 @@ util::VoidResult TcpServer::Start() {
     shard.job_efd = ::eventfd(0, EFD_CLOEXEC | EFD_SEMAPHORE);
     if (shard.job_efd < 0) return fail("eventfd(jobs)");
 
-    const bool wants_listener = i == 0 || reuseport || inherited;
     if (inherited) {
       // The fd was created by the supervisor (bound, listening, sharing the
       // port via SO_REUSEPORT); we own it from here.  Status flags survive
@@ -611,7 +590,7 @@ util::VoidResult TcpServer::Start() {
           0) {
         return fail("epoll_ctl(inherited listener)");
       }
-    } else if (wants_listener) {
+    } else {
       shard.listen_fd =
           ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
       if (shard.listen_fd < 0) return fail("socket");
@@ -744,11 +723,6 @@ void TcpServer::Stop() {
     }
     Done done;
     while (shard->done.Pop(done)) {
-    }
-    Handoff handoff;
-    while (shard->handoff.Pop(handoff)) {
-      ::close(handoff.fd);
-      total_active_.fetch_sub(1);
     }
     if (shard->epoll_fd >= 0) ::close(shard->epoll_fd);
     if (shard->wake_fd >= 0) ::close(shard->wake_fd);
@@ -914,7 +888,6 @@ void TcpServer::ShardLoop(Shard& shard) {
         CloseConn(shard, tag);
       }
     }
-    DrainHandoff(shard);
     DrainCompletions(shard);
     std::int64_t after = NowMs();
     shard.wheel.Advance(
@@ -945,10 +918,6 @@ void TcpServer::ShardLoop(Shard& shard) {
 }
 
 void TcpServer::AcceptNew(Shard& shard) {
-  // In fd-handoff mode only shard 0 has a listener; every other shard's
-  // listen_fd is -1 for the whole run, which is how we detect the mode.
-  const bool handoff_mode =
-      shards_.size() > 1 && shards_[1]->listen_fd < 0;
   for (;;) {
     sockaddr_in peer{};
     socklen_t len = sizeof(peer);
@@ -963,26 +932,11 @@ void TcpServer::AcceptNew(Shard& shard) {
     std::uint32_t ip = ntohl(peer.sin_addr.s_addr);
     std::uint16_t peer_port = ntohs(peer.sin_port);
 
-    // The accepting shard reserves the global slot before any handoff, so
-    // the max_connections cap holds even with fds in flight between shards.
+    // Reserve the global slot first, so the max_connections cap holds
+    // across every shard's listener.
     bool over_cap = total_active_.fetch_add(1, std::memory_order_relaxed) >=
                     options_.max_connections;
-    if (over_cap) {
-      AdoptFd(shard, fd, ip, peer_port, /*shed=*/true);
-      continue;
-    }
-    if (handoff_mode) {
-      std::size_t target = shard.accept_rr++ % shards_.size();
-      if (target != shard.index) {
-        Shard& owner = *shards_[target];
-        if (owner.handoff.Push(Handoff{fd, ip, peer_port})) {
-          WakeShard(owner);
-          continue;
-        }
-        // Handoff ring full (cannot happen by sizing): adopt locally.
-      }
-    }
-    AdoptFd(shard, fd, ip, peer_port, /*shed=*/false);
+    AdoptFd(shard, fd, ip, peer_port, /*shed=*/over_cap);
   }
 }
 
@@ -1024,16 +978,6 @@ void TcpServer::AdoptFd(Shard& shard, int fd, std::uint32_t ip_host_order,
   }
   Touch(shard, raw);
   if (raw->shed) TryWrite(shard, raw);
-}
-
-void TcpServer::DrainHandoff(Shard& shard) {
-  Handoff handoff;
-  while (shard.handoff.Pop(handoff)) {
-    // The global slot was reserved by the accepting shard; AdoptFd only
-    // tracks the shard-local tables.
-    AdoptFd(shard, handoff.fd, handoff.ip_host_order, handoff.peer_port,
-            /*shed=*/false);
-  }
 }
 
 void TcpServer::ReadConn(Shard& shard, Connection* conn) {

@@ -9,10 +9,8 @@
 //     min(4, hw_concurrency)), each owning its own SO_REUSEPORT listener,
 //     epoll fd, connection table, buffer pool and timeout wheel.  A
 //     connection is owned by exactly one shard for its whole life — its
-//     state is single-threaded by construction, no lock needed.  When
-//     SO_REUSEPORT is unavailable (Options::so_reuseport = false, or the
-//     kernel refuses), shard 0 accepts and round-robins raw fds to the
-//     other shards through lock-free handoff rings.
+//     state is single-threaded by construction, no lock needed.  With more
+//     than one shard, Start() fails if the kernel refuses SO_REUSEPORT.
 //   * worker handoff is lock-free in the steady state: per-shard bounded
 //     MPMC rings (util::MpmcRing) carry jobs to the shard's workers and
 //     completions back, with an eventfd semaphore waking idle workers and
@@ -65,11 +63,6 @@ class TcpServer {
     std::size_t worker_threads = 4;
     /// Event-loop shards; 0 = min(4, hardware_concurrency).
     std::size_t reactor_shards = 0;
-    /// Use per-shard SO_REUSEPORT listeners (kernel-level accept
-    /// balancing).  When false — or when the kernel refuses the option —
-    /// shard 0 owns the only listener and hands accepted fds to the other
-    /// shards round-robin.
-    bool so_reuseport = true;
     /// Serve memoized-decision static-doc GETs directly on the event loop
     /// (see header comment); responses stay byte-identical either way.
     bool inline_fast_path = true;
@@ -221,7 +214,6 @@ class TcpServer {
   void AcceptNew(Shard& shard);
   void AdoptFd(Shard& shard, int fd, std::uint32_t ip_host_order,
                std::uint16_t peer_port, bool shed);
-  void DrainHandoff(Shard& shard);
   void ReadConn(Shard& shard, Connection* conn);
   void TryDispatch(Shard& shard, Connection* conn);
   bool ServeInline(Shard& shard, Connection* conn, std::size_t frame_bytes,

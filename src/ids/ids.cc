@@ -13,7 +13,6 @@ IntrusionDetectionSystem::IntrusionDetectionSystem(
       clock_(clock),
       threat_(state, clock, threat_options),
       bus_(clock),
-      anomaly_(clock),
       stream_(sketch::StreamingAnomalyProvider::Options{}),
       signatures_(SignatureDb::KnownWebAttacks()) {}
 
@@ -22,7 +21,6 @@ void IntrusionDetectionSystem::AttachMetrics(
   metrics_ = registry;
   bus_.AttachMetrics(registry);
   threat_.AttachMetrics(registry);
-  anomaly_.AttachMetrics(registry);
   stream_.AttachMetrics(registry);
 }
 
@@ -75,23 +73,8 @@ void IntrusionDetectionSystem::Report(const core::IdsReport& report) {
 void IntrusionDetectionSystem::ObserveRequest(const std::string& client_ip,
                                               const std::string& path,
                                               util::TimePoint now_us) {
-  double severity;
-  double threshold;
-  if (anomaly_mode_ == AnomalyMode::kStreaming) {
-    severity = stream_.Observe(client_ip, path, now_us);
-    threshold = stream_.options().report_threshold;
-  } else {
-    // Differential reference: the exact detector scores the same stream so
-    // tests can compare verdicts against the sketch path.
-    RequestFeatures features;
-    features.principal = client_ip;
-    features.path = path;
-    features.url_depth = static_cast<double>(
-        std::count(path.begin(), path.end(), '/'));
-    severity = anomaly_.Observe(features);
-    threshold = anomaly_.options().score_threshold;
-  }
-  if (severity < threshold) return;
+  const double severity = stream_.Observe(client_ip, path, now_us);
+  if (severity < stream_.options().report_threshold) return;
   core::IdsReport report;
   report.kind = core::ReportKind::kSuspiciousBehavior;
   report.source_ip = client_ip;
@@ -99,9 +82,7 @@ void IntrusionDetectionSystem::ObserveRequest(const std::string& client_ip,
   report.attack_type = "stream_anomaly";
   report.severity = static_cast<int>(severity);
   report.confidence = 0.8;
-  report.detail = anomaly_mode_ == AnomalyMode::kStreaming
-                      ? "sketch features crossed thresholds"
-                      : "exact profile z-score crossed threshold";
+  report.detail = "sketch features crossed thresholds";
   Report(report);
 }
 

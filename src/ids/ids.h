@@ -19,7 +19,6 @@
 
 #include "gaa/services.h"
 #include "gaa/system_state.h"
-#include "ids/anomaly.h"
 #include "ids/event_bus.h"
 #include "ids/signature_db.h"
 #include "ids/sketch/stream_ids.h"
@@ -27,14 +26,6 @@
 #include "util/clock.h"
 
 namespace gaa::ids {
-
-/// Which anomaly detector scores the live request stream (DESIGN.md §12).
-/// Mirrors the compiled/interpreted engine split: the sketch provider is
-/// the production path, the exact detector the differential reference.
-enum class AnomalyMode {
-  kStreaming,       ///< fixed-memory sketches (default)
-  kExactReference,  ///< legacy per-principal profiles (O(clients) memory)
-};
 
 class IntrusionDetectionSystem final : public core::IdsChannel {
  public:
@@ -58,9 +49,9 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   void AttachAudit(core::AuditSink* audit);
 
   // --- live request stream (DESIGN.md §12) ---------------------------------
-  /// Feed one served request into the anomaly pipeline.  In streaming mode
-  /// this is O(sketch): a few atomic increments plus one sharded-mutex
-  /// quantile update, safe to call from the transport's inline fast path.
+  /// Feed one served request into the streaming anomaly provider.  This is
+  /// O(sketch): a few atomic increments plus one sharded-mutex quantile
+  /// update, safe to call from the transport's inline fast path.
   /// Severities at or above the provider's report threshold become
   /// kSuspiciousBehavior reports (escalating the threat level, which in
   /// turn fences threat-dependent memo entries).
@@ -72,13 +63,9 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   /// refresh of the adaptive SystemState variables.
   void PeriodicMaintenance();
 
-  void set_anomaly_mode(AnomalyMode mode) { anomaly_mode_ = mode; }
-  AnomalyMode anomaly_mode() const { return anomaly_mode_; }
-
   // --- components ----------------------------------------------------------
   ThreatService& threat() { return threat_; }
   EventBus& bus() { return bus_; }
-  AnomalyDetector& anomaly() { return anomaly_; }
   sketch::StreamingAnomalyProvider& stream() { return stream_; }
   SignatureDb& signatures() { return signatures_; }
 
@@ -108,9 +95,7 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   core::AuditSink* audit_ = nullptr;
   ThreatService threat_;
   EventBus bus_;
-  AnomalyDetector anomaly_;
   sketch::StreamingAnomalyProvider stream_;
-  AnomalyMode anomaly_mode_ = AnomalyMode::kStreaming;
   SignatureDb signatures_;
   mutable std::mutex mu_;
   std::vector<core::IdsReport> reports_;

@@ -117,7 +117,6 @@ GaaWebServer::GaaWebServer(http::DocTree tree, Options options)
   EnvOverride("GAA_COMPILED_ENGINE", &options_.enable_compiled_engine);
   EnvOverride("GAA_DECISION_CACHE", &options_.enable_decision_cache);
   api_ = std::make_unique<core::GaaApi>(&store_, services);
-  api_->set_cache_enabled(options_.enable_policy_cache);
   api_->set_engine_mode(options_.enable_compiled_engine
                             ? core::EngineMode::kCompiled
                             : core::EngineMode::kInterpreted);

@@ -46,10 +46,6 @@ class GaaWebServer {
     /// the request path (ablation of the paper's synchronous-notification
     /// cost — the 80 % overhead of §8 is an artifact of blocking delivery).
     bool asynchronous_notification = false;
-    /// Policy cache (paper §9 future work; ablation A1).  Only consulted by
-    /// the *interpreted* pipeline — the compiled engine supersedes it.
-    bool enable_policy_cache = false;
-    std::size_t policy_cache_capacity = 256;
     /// Compiled policy engine (DESIGN.md §9): evaluate the immutable IR
     /// published by the policy store instead of interpreting the AST.
     /// Environment override: GAA_COMPILED_ENGINE (0/1).

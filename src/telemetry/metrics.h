@@ -15,10 +15,6 @@
 //   * Reads (Value(), snapshots, exposition) are approximate under
 //     concurrency in the usual Prometheus sense: monotone, eventually exact
 //     once writers quiesce.
-//
-// Compiling with -DGAA_TELEMETRY_NOOP turns every mutation into a no-op so
-// the cost of the instrumentation itself can be measured (bench_telemetry
-// compares the two builds; the runtime equivalent is detaching telemetry).
 #pragma once
 
 #include <atomic>
@@ -48,12 +44,8 @@ class Counter {
   static constexpr unsigned kShards = 16;  // power of two
 
   void Inc(std::uint64_t n = 1) {
-#ifndef GAA_TELEMETRY_NOOP
     shards_[internal::ThreadShardSlot() & (kShards - 1)].v.fetch_add(
         n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   std::uint64_t Value() const {
@@ -78,20 +70,8 @@ class Counter {
 /// Last-value gauge (signed).
 class Gauge {
  public:
-  void Set(std::int64_t v) {
-#ifndef GAA_TELEMETRY_NOOP
-    v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
-  void Add(std::int64_t d) {
-#ifndef GAA_TELEMETRY_NOOP
-    v_.fetch_add(d, std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
-  }
+  void Set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void Add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   std::int64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -125,7 +105,6 @@ class Histogram {
   explicit Histogram(std::vector<std::uint64_t> bounds = {});
 
   void Record(std::uint64_t value) {
-#ifndef GAA_TELEMETRY_NOOP
     std::size_t lo = 0, hi = bounds_.size();
     while (lo < hi) {  // first bound >= value; bounds_.size() == +Inf bucket
       std::size_t mid = (lo + hi) / 2;
@@ -143,9 +122,6 @@ class Histogram {
            !max_.compare_exchange_weak(prev, value,
                                        std::memory_order_relaxed)) {
     }
-#else
-    (void)value;
-#endif
   }
 
   struct Snapshot {

@@ -2,11 +2,9 @@
 //
 // The transport's worker handoff runs on these rings: each reactor shard
 // owns one job ring (shard event loop produces, that shard's workers
-// consume), one completion ring (workers produce, the shard consumes) and —
-// in the no-SO_REUSEPORT fallback — one fd-handoff ring (shard 0 produces,
-// the owning shard consumes).  All three uses are covered by the general
-// MPMC algorithm; the steady state is one CAS per push/pop with no mutex
-// anywhere.
+// consume) and one completion ring (workers produce, the shard consumes).
+// Both uses are covered by the general MPMC algorithm; the steady state is
+// one CAS per push/pop with no mutex anywhere.
 //
 // Each cell carries a sequence number: `seq == pos` means "free for the
 // producer claiming position pos"; `seq == pos + 1` means "holds the value

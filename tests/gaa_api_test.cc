@@ -339,26 +339,6 @@ TEST_F(GaaApiTest, TraceRecordsEvaluationOrder) {
   EXPECT_EQ(authz.trace[2].phase, eacl::CondPhase::kRequestResult);
 }
 
-TEST_F(GaaApiTest, PolicyCacheServesAndInvalidates) {
-  // The §9 LRU policy cache fronts the *interpreted* pipeline; the compiled
-  // engine replaces it with snapshot publication (tested separately).
-  api_.set_engine_mode(EngineMode::kInterpreted);
-  api_.set_cache_enabled(true);
-  store_.Clear();
-  ASSERT_TRUE(store_.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
-  ctx_ = MakeContext();
-  auto r1 = api_.Authorize("/x", RequestedRight{"apache", "GET"}, ctx_);
-  EXPECT_EQ(r1.status, Tristate::kYes);
-  auto r2 = api_.Authorize("/x", RequestedRight{"apache", "GET"}, ctx_);
-  EXPECT_EQ(r2.status, Tristate::kYes);
-  EXPECT_GE(api_.cache().hits(), 1u);
-
-  // Policy change invalidates: the tightened policy must apply at once.
-  ASSERT_TRUE(store_.SetLocalPolicy("/", "neg_access_right apache *\n").ok());
-  auto r3 = api_.Authorize("/x", RequestedRight{"apache", "GET"}, ctx_);
-  EXPECT_EQ(r3.status, Tristate::kNo);
-}
-
 TEST_F(GaaApiTest, InitializeFromConfigBindsBuiltins) {
   RoutineCatalog catalog;
   cond::RegisterBuiltinRoutines(catalog);

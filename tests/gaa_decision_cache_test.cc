@@ -176,10 +176,9 @@ TEST(DecisionMemo, DisabledCacheStillEvaluatesCompiled) {
   EXPECT_EQ(s.api.decision_cache().hits(), 0u);
 }
 
-TEST(CacheTelemetry, DecisionAndPolicyCacheCountersExported) {
-  // Both cache layers mirror their accounting into the shared registry:
-  // gaa_decision_cache_* for the memo cache (satellite of the compiled
-  // engine) and gaa_policy_cache_* for the legacy LRU.
+TEST(CacheTelemetry, DecisionCacheCountersExported) {
+  // The decision memo mirrors its accounting into the shared registry as
+  // gaa_decision_cache_*.
   telemetry::MetricRegistry registry;
   TestRig rig;
   rig.services.metrics = &registry;
@@ -204,17 +203,6 @@ TEST(CacheTelemetry, DecisionAndPolicyCacheCountersExported) {
   EXPECT_EQ(registry.GetCounter("gaa_decision_cache_insertions_total")->Value(),
             1u);
   EXPECT_EQ(registry.GetCounter("gaa_decision_cache_hits_total")->Value(), 3u);
-
-  // The LRU policy cache (interpreted pipeline) reports through the same
-  // registry.
-  api.set_engine_mode(EngineMode::kInterpreted);
-  api.set_cache_enabled(true);
-  for (int i = 0; i < 4; ++i) {
-    RequestContext c = ctx;
-    api.Authorize("/index.html", RequestedRight{"apache", "GET"}, c);
-  }
-  EXPECT_EQ(registry.GetCounter("gaa_policy_cache_misses_total")->Value(), 1u);
-  EXPECT_EQ(registry.GetCounter("gaa_policy_cache_hits_total")->Value(), 3u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Sharded multi-reactor transport (DESIGN.md §10): cross-shard stats
-// aggregation, the no-SO_REUSEPORT fd-handoff fallback, concurrent load
-// across shards (the TSan target), and the inline fast path's
-// byte-identical-response guarantee at the transport level.
+// aggregation, concurrent load across shards (the TSan target), and the
+// inline fast path's byte-identical-response guarantee at the transport
+// level.
 #include "http/tcp_server.h"
 
 #include <gtest/gtest.h>
@@ -84,34 +84,6 @@ TEST_F(TransportShardTest, AggregateStatsAreSumOfShardStats) {
   // All connections closed: active is exactly zero.  An unsigned underflow
   // (double-decrement on any close path) would show up as a huge value.
   EXPECT_EQ(total.active, 0u);
-}
-
-TEST_F(TransportShardTest, FdHandoffFallbackBalancesRoundRobin) {
-  TcpServer::Options options;
-  options.reactor_shards = 4;
-  options.so_reuseport = false;  // shard 0 accepts, hands fds round-robin
-  StartTcp(options);
-  ASSERT_EQ(tcp_->shard_count(), 4u);
-
-  constexpr int kConns = 32;
-  std::string raw = BuildGetRequest("/docs/guide.html");
-  for (int i = 0; i < kConns; ++i) {
-    TcpClient client(tcp_->port());
-    auto response = client.RoundTrip(raw);
-    ASSERT_TRUE(response.ok()) << response.error().ToString();
-    EXPECT_NE(response.value().find("200 OK"), std::string::npos);
-  }
-  tcp_->Stop();
-
-  EXPECT_EQ(tcp_->stats().accepted, static_cast<std::uint64_t>(kConns));
-  // The single-listener fallback distributes deterministically: with no
-  // concurrent churn every shard adopts exactly its round-robin share.
-  for (std::size_t i = 0; i < tcp_->shard_count(); ++i) {
-    EXPECT_EQ(tcp_->shard_stats(i).accepted,
-              static_cast<std::uint64_t>(kConns) / tcp_->shard_count())
-        << "shard " << i;
-  }
-  EXPECT_EQ(tcp_->stats().active, 0u);
 }
 
 TEST_F(TransportShardTest, ConcurrentKeepAliveLoadAcrossShards) {

@@ -66,7 +66,6 @@ TEST(Concurrency, PolicyUpdatesDuringTraffic) {
   GaaWebServer::Options options;
   options.use_real_clock = true;
   options.notification_latency_us = 0;
-  options.enable_policy_cache = true;  // exercise cache invalidation races
   GaaWebServer server(http::DocTree::DemoSite(), options);
   ASSERT_TRUE(server.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
 

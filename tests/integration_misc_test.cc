@@ -1,6 +1,6 @@
-// Cross-cutting integration tests: policy cache behaviour under attack
-// response, notification latency showing up in request handling, mixed
-// workload end-to-end, and failure injection.
+// Cross-cutting integration tests: policy rewrites (the attack response)
+// seen by the next request, notification latency showing up in request
+// handling, mixed workload end-to-end, and failure injection.
 #include <gtest/gtest.h>
 
 #include "http/doc_tree.h"
@@ -18,7 +18,7 @@ GaaWebServer::Options TestOptions() {
   return options;
 }
 
-TEST(PolicyCacheIntegration, HitsAccumulateAndInvalidateOnChange) {
+TEST(DecisionMemoIntegration, HitsAccumulateAndPolicyRewriteInvalidates) {
   // Compiled engine (the default): repeated identical requests are served
   // from the decision memo cache, and a policy rewrite — the snapshot swap
   // bumps the store version baked into every memo key — invalidates all
@@ -35,19 +35,18 @@ TEST(PolicyCacheIntegration, HitsAccumulateAndInvalidateOnChange) {
   ASSERT_TRUE(server.SetLocalPolicy("/", "neg_access_right apache *\n").ok());
   EXPECT_EQ(server.Get("/index.html", "10.0.0.1").status,
             StatusCode::kForbidden);
+}
 
-  // The interpreted pipeline's LRU cache behaves the same way.
-  GaaWebServer::Options lru = TestOptions();
-  lru.enable_compiled_engine = false;
-  lru.enable_policy_cache = true;
-  GaaWebServer interp(http::DocTree::DemoSite(), lru);
-  ASSERT_TRUE(interp.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(interp.Get("/index.html", "10.0.0.1").status, StatusCode::kOk);
-  }
-  EXPECT_GE(interp.api().cache().hits(), 9u);
-  ASSERT_TRUE(interp.SetLocalPolicy("/", "neg_access_right apache *\n").ok());
-  EXPECT_EQ(interp.Get("/index.html", "10.0.0.1").status,
+TEST(InterpretedEngineIntegration, NextRequestSeesRewrittenPolicy) {
+  // The interpreter retrieves and composes the policy on every request, so
+  // a rewrite applies to the very next one.
+  GaaWebServer::Options options = TestOptions();
+  options.enable_compiled_engine = false;
+  GaaWebServer server(http::DocTree::DemoSite(), options);
+  ASSERT_TRUE(server.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
+  EXPECT_EQ(server.Get("/index.html", "10.0.0.1").status, StatusCode::kOk);
+  ASSERT_TRUE(server.SetLocalPolicy("/", "neg_access_right apache *\n").ok());
+  EXPECT_EQ(server.Get("/index.html", "10.0.0.1").status,
             StatusCode::kForbidden);
 }
 
@@ -142,36 +141,6 @@ pos_access_right apache *
   EXPECT_GT(server.ids().CountKind(core::ReportKind::kDetectedAttack), 0u);
   // The server kept serving throughout.
   EXPECT_EQ(server.server().requests_served(), trace.size());
-}
-
-TEST(AnomalyIntegration, ProfilesBuildFromLegitimateReports) {
-  // §9 future work, wired: legitimate-pattern reports feed the anomaly
-  // detector's profiles; an outlier request then scores high.
-  GaaWebServer::Options options = TestOptions();
-  options.controller.report_legitimate_patterns = true;
-  GaaWebServer server(http::DocTree::DemoSite(), options);
-  ASSERT_TRUE(server.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
-
-  auto& anomaly = server.ids().anomaly();
-  server.ids().bus().Subscribe(
-      {"gaa.report.legitimate_pattern", 0}, [&](const ids::Event&) {});
-
-  for (int i = 0; i < 30; ++i) {
-    server.Get("/index.html", "10.0.0.7");
-    ids::RequestFeatures f;
-    f.principal = "10.0.0.7";
-    f.path = "/index.html";
-    f.query_length = 0;
-    f.url_depth = 1;
-    anomaly.Train(f);
-    server.sim_clock()->Advance(util::kMicrosPerSecond);
-  }
-  ids::RequestFeatures outlier;
-  outlier.principal = "10.0.0.7";
-  outlier.path = "/cgi-bin/phf";
-  outlier.query_length = 1500;
-  outlier.url_depth = 2;
-  EXPECT_TRUE(anomaly.IsAnomalous(outlier));
 }
 
 TEST(MultiplePolicies, DeepDirectoryChainsCompose) {

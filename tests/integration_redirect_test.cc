@@ -78,8 +78,8 @@ pre_cond_redirect local http://replica-1.example.org/
                   .ok());
   EXPECT_EQ(server_.Get("/x", "10.0.0.1").headers.at("Location"),
             "http://replica-1.example.org/");
-  // The policy officer repoints the replica; the change is immediate
-  // (policy cache disabled) — the paper's "tightening local policies" flow.
+  // The policy officer repoints the replica; the change is immediate — the
+  // paper's "tightening local policies" flow.
   ASSERT_TRUE(server_
                   .SetLocalPolicy("/", R"(
 pos_access_right apache *
