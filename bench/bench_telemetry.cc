@@ -1,7 +1,8 @@
 // A9 — telemetry overhead: the instrumentation must not perturb what it
 // measures.  The registry's increment path is lock-free (sharded relaxed
-// atomics, copy-on-write lookup table), so the cost of wiring telemetry
-// through the whole pipeline should be noise.
+// atomics on held handles; name lookup is a cold, mutex-guarded index the
+// serving path never reaches), so the cost of wiring telemetry through the
+// whole pipeline should be noise.
 //
 // Two angles:
 //   * primitives — ns/op for counter increments (single-threaded and

@@ -85,37 +85,18 @@ eacl::ComposedPolicy GaaApi::GetObjectPolicyInfo(const std::string& object_path,
 telemetry::Counter* GaaApi::EntryCounter(const std::string& policy, int entry,
                                          int outcome_idx) {
   if (services_.metrics == nullptr) return nullptr;
-  std::string key = policy + '#' + std::to_string(entry) + '#' +
-                    eacl::EntryOutcomeName(outcome_idx);
-  {
-    std::lock_guard<std::mutex> lock(attr_mu_);
-    auto it = entry_counters_.find(key);
-    if (it != entry_counters_.end()) return it->second;
-  }
-  telemetry::Counter* counter = services_.metrics->GetCounter(
+  return services_.metrics->GetCounter(
       "eacl_entry_decisions_total",
       "policy=\"" + policy + "\",entry=\"" + std::to_string(entry) +
           "\",outcome=\"" + eacl::EntryOutcomeName(outcome_idx) + "\"");
-  std::lock_guard<std::mutex> lock(attr_mu_);
-  entry_counters_.emplace(std::move(key), counter);
-  return counter;
 }
 
 telemetry::Histogram* GaaApi::CondHistogram(const eacl::Condition& cond) {
   if (services_.metrics == nullptr) return nullptr;
-  std::string key = cond.type + '/' + cond.def_auth;
-  {
-    std::lock_guard<std::mutex> lock(attr_mu_);
-    auto it = cond_histograms_.find(key);
-    if (it != cond_histograms_.end()) return it->second;
-  }
-  telemetry::Histogram* histogram = services_.metrics->GetHistogram(
+  return services_.metrics->GetHistogram(
       "gaa_cond_eval_us",
       "cond=\"" + cond.type + "\",auth=\"" + cond.def_auth + "\"",
       eacl::CondLatencyBoundsUs());
-  std::lock_guard<std::mutex> lock(attr_mu_);
-  cond_histograms_.emplace(std::move(key), histogram);
-  return histogram;
 }
 
 EvalOutcome GaaApi::EvalCondition(const eacl::Condition& cond,
@@ -400,6 +381,7 @@ GaaApi::PolicyAnswer GaaApi::EvalCompiledPolicy(
     }
 
     answer.applicable = true;
+    answer.entry = &entry;
     answer.attribution.policy = policy.name();
     answer.attribution.entry = entry.index;
     answer.attribution.condition = pre.deciding_condition;
@@ -451,19 +433,24 @@ GaaApi::PolicyAnswer GaaApi::EvalCompiledPolicy(
 
 AuthzResult GaaApi::CheckAuthorizationCompiled(
     const eacl::CompiledComposition& view, const RequestedRight& right,
-    RequestContext& ctx, MemoClass* memo) {
+    RequestContext& ctx, MemoClass* memo,
+    const eacl::CompiledEntry** attributed) {
   AuthzResult out;
   telemetry::ScopedSpan span(ctx.trace, "gaa.check_authorization");
 
   auto eval_side = [&](const std::vector<const eacl::CompiledPolicy*>& side_p,
-                       bool* any, std::optional<DecisionAttribution>* attr) {
+                       bool* any, std::optional<DecisionAttribution>* attr,
+                       const eacl::CompiledEntry** attr_entry) {
     Tristate side = Tristate::kYes;
     *any = false;
     for (const eacl::CompiledPolicy* p : side_p) {
       PolicyAnswer a = EvalCompiledPolicy(*p, right, ctx, &out, memo);
       if (!a.applicable) continue;
       Tristate combined = util::And3(side, a.status);
-      if (!*any || combined != side) *attr = a.attribution;
+      if (!*any || combined != side) {
+        *attr = a.attribution;
+        *attr_entry = a.entry;
+      }
       *any = true;
       side = combined;
       if (side == Tristate::kNo) break;  // conjunction settled
@@ -475,26 +462,28 @@ AuthzResult GaaApi::CheckAuthorizationCompiled(
   bool have_local = false;
   std::optional<DecisionAttribution> system_attr;
   std::optional<DecisionAttribution> local_attr;
-  Tristate system_status = eval_side(view.system, &have_system, &system_attr);
+  const eacl::CompiledEntry* system_entry = nullptr;
+  const eacl::CompiledEntry* local_entry = nullptr;
+  Tristate system_status =
+      eval_side(view.system, &have_system, &system_attr, &system_entry);
   Tristate local_status = Tristate::kNo;
   if (view.mode != eacl::CompositionMode::kStop &&
       !(view.mode == eacl::CompositionMode::kNarrow && have_system &&
         system_status == Tristate::kNo)) {
-    local_status = eval_side(view.local, &have_local, &local_attr);
+    local_status =
+        eval_side(view.local, &have_local, &local_attr, &local_entry);
   }
 
   out.applicable = have_system || have_local;
   out.status = eacl::CombineDecisions(view.mode, system_status, have_system,
                                       local_status, have_local);
-  if (have_system && system_status == out.status) {
-    out.attribution = std::move(system_attr);
-  } else if (have_local && local_status == out.status) {
-    out.attribution = std::move(local_attr);
-  } else if (system_attr.has_value()) {
-    out.attribution = std::move(system_attr);
-  } else {
-    out.attribution = std::move(local_attr);
-  }
+  // Same provenance rule as CheckAuthorization: the side whose answer became
+  // the final one, system first.
+  const bool use_system =
+      (have_system && system_status == out.status) ||
+      (!(have_local && local_status == out.status) && system_attr.has_value());
+  out.attribution = std::move(use_system ? system_attr : local_attr);
+  *attributed = use_system ? system_entry : local_entry;
   out.detail = std::string("authz=") + util::TristateName(out.status) +
                " right=" + right.def_auth + ":" + right.value +
                " object=" + ctx.object;
@@ -566,7 +555,9 @@ AuthzResult GaaApi::Authorize(const std::string& object_path,
       eacl::CompiledComposition view = snap->ForPath(object_path);
       lookup_span.End();
       MemoClass memo = MemoClass::kPure;
-      AuthzResult out = CheckAuthorizationCompiled(view, right, ctx, &memo);
+      const eacl::CompiledEntry* attributed = nullptr;
+      AuthzResult out =
+          CheckAuthorizationCompiled(view, right, ctx, &memo, &attributed);
       // Memoize only terminal answers proven repeatable: every evaluated
       // condition was kPure (or kThreatFenced, pinning the entry to the
       // threat epoch) and the result is not MAYBE (a MAYBE must be
@@ -574,11 +565,12 @@ AuthzResult GaaApi::Authorize(const std::string& object_path,
       // conditions and new credentials can flip it).
       if (memo_on && memo != MemoClass::kUncacheable &&
           out.status != Tristate::kMaybe) {
-        telemetry::Counter* ec = nullptr;
-        if (out.attribution.has_value()) {
-          ec = EntryCounter(out.attribution->policy, out.attribution->entry,
-                            OutcomeIndex(out.status));
-        }
+        // The memo hit re-counts the attributed entry through its compiled
+        // handle; no string lookup on insert or on hit.
+        telemetry::Counter* ec =
+            attributed != nullptr
+                ? attributed->outcomes[OutcomeIndex(out.status)]
+                : nullptr;
         decision_cache_.Put(std::move(key), snap->store_version(),
                             std::make_shared<AuthzResult>(out), ec, epoch,
                             memo == MemoClass::kThreatFenced);

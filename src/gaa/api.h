@@ -35,11 +35,9 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "eacl/ast.h"
@@ -216,6 +214,8 @@ class GaaApi {
     util::Tristate status = util::Tristate::kNo;
     bool applicable = false;
     DecisionAttribution attribution;  ///< valid when `applicable`
+    /// Compiled engine: the entry `attribution` names (null otherwise).
+    const eacl::CompiledEntry* entry = nullptr;
   };
 
   /// Evaluate one condition through the registry (unregistered ⇒
@@ -269,10 +269,12 @@ class GaaApi {
                                   MemoClass* memo);
 
   /// Compiled twin of CheckAuthorization over a snapshot's per-path view.
+  /// `*attributed` receives the compiled entry the result's attribution
+  /// names (null when none does).
   AuthzResult CheckAuthorizationCompiled(const eacl::CompiledComposition& view,
                                          const RequestedRight& right,
-                                         RequestContext& ctx,
-                                         MemoClass* memo);
+                                         RequestContext& ctx, MemoClass* memo,
+                                         const eacl::CompiledEntry** attributed);
 
   /// Memo key: every input a kPure condition may read — requested right,
   /// object path, request identity, client address — joined unambiguously.
@@ -280,12 +282,13 @@ class GaaApi {
                                  const RequestedRight& right,
                                  const RequestContext& ctx);
 
-  /// Cached `eacl_entry_decisions_total{policy,entry,outcome}` handle;
-  /// `outcome_idx`: 0 yes, 1 no, 2 maybe, 3 miss (pre-block failed, entry
-  /// skipped).  Null when metrics are detached.
+  /// Interpreter and mid/post phases only (the compiled engine holds its
+  /// handles): `eacl_entry_decisions_total{policy,entry,outcome}` looked up
+  /// in the registry; `outcome_idx`: 0 yes, 1 no, 2 maybe, 3 miss
+  /// (pre-block failed, entry skipped).  Null when metrics are detached.
   telemetry::Counter* EntryCounter(const std::string& policy, int entry,
                                    int outcome_idx);
-  /// Cached per-condition latency histogram.  Null when detached.
+  /// Per-condition latency histogram, looked up the same way.
   telemetry::Histogram* CondHistogram(const eacl::Condition& cond);
 
   PolicyStore* store_;
@@ -294,13 +297,6 @@ class GaaApi {
   EngineMode engine_mode_ = EngineMode::kCompiled;
   DecisionCache decision_cache_;
   bool decision_cache_enabled_ = true;
-
-  /// Attribution-metric handle caches: registry lookups build a label
-  /// string per call, so hot entries resolve through this mutex-guarded
-  /// map instead (handles are stable for the registry's lifetime).
-  std::mutex attr_mu_;
-  std::unordered_map<std::string, telemetry::Counter*> entry_counters_;
-  std::unordered_map<std::string, telemetry::Histogram*> cond_histograms_;
 };
 
 }  // namespace gaa::core

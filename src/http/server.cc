@@ -50,9 +50,7 @@ WebServer::WebServer(const DocTree* tree, AccessController* controller,
 void WebServer::set_telemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
   // Cached handles point into the previous registry; re-resolve lazily.
-  for (auto& slot : status_counters_) {
-    slot.store(nullptr, std::memory_order_relaxed);
-  }
+  status_counters_.Clear();
   if (telemetry_ != nullptr) {
     requests_total_ = telemetry_->registry().GetCounter("http_requests_total");
     latency_hist_ =
@@ -570,18 +568,14 @@ void WebServer::FinishRequest(const util::Stopwatch& sw, int status,
 
 telemetry::Counter* WebServer::StatusCounterFor(int code) {
   if (telemetry_ == nullptr) return nullptr;
-  telemetry::Counter* counter =
-      code >= 0 && code < kMaxStatusCode
-          ? status_counters_[code].load(std::memory_order_relaxed)
-          : nullptr;
-  if (counter == nullptr) {
-    counter = telemetry_->registry().GetCounter(
-        "http_responses_total", "code=\"" + std::to_string(code) + "\"");
-    if (code >= 0 && code < kMaxStatusCode) {
-      status_counters_[code].store(counter, std::memory_order_relaxed);
-    }
+  auto labels = [code] { return "code=\"" + std::to_string(code) + "\""; };
+  if (code < 0 || code >= static_cast<int>(status_counters_.kSize)) {
+    return telemetry_->registry().GetCounter("http_responses_total",
+                                             labels());
   }
-  return counter;
+  return status_counters_.Get(static_cast<std::size_t>(code),
+                              telemetry_->registry(), "http_responses_total",
+                              labels);
 }
 
 void WebServer::LogAccess(const RequestRec& rec, StatusCode status,

@@ -17,7 +17,6 @@
 // runs several threads over one server).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -398,11 +397,8 @@ class WebServer {
   telemetry::Histogram* latency_hist_ = nullptr;   ///< cached handle
   telemetry::Counter* not_modified_total_ = nullptr;  ///< cached handle
   /// Lazily resolved `http_responses_total{code=...}` handles indexed by
-  /// status code, so LogAccess does not rebuild the label string and
-  /// re-hash the registry key on every request.
-  static constexpr int kMaxStatusCode = 600;
-  std::array<std::atomic<telemetry::Counter*>, kMaxStatusCode>
-      status_counters_{};
+  /// status code, so LogAccess never looks a series up by string.
+  telemetry::LazyCounterArray<600> status_counters_;
 
   std::atomic<std::uint64_t> requests_served_{0};
   mutable std::mutex log_mu_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/metrics.h"
-
 namespace gaa::ids {
 
 IntrusionDetectionSystem::IntrusionDetectionSystem(
@@ -19,6 +17,7 @@ IntrusionDetectionSystem::IntrusionDetectionSystem(
 void IntrusionDetectionSystem::AttachMetrics(
     telemetry::MetricRegistry* registry) {
   metrics_ = registry;
+  report_counters_.Clear();
   bus_.AttachMetrics(registry);
   threat_.AttachMetrics(registry);
   stream_.AttachMetrics(registry);
@@ -30,10 +29,13 @@ void IntrusionDetectionSystem::AttachAudit(core::AuditSink* audit) {
 
 void IntrusionDetectionSystem::Report(const core::IdsReport& report) {
   if (metrics_ != nullptr) {
-    metrics_
-        ->GetCounter("ids_reports_total",
-                     std::string("kind=\"") +
-                         core::ReportKindName(report.kind) + "\"")
+    report_counters_
+        .Get(static_cast<std::size_t>(report.kind), *metrics_,
+             "ids_reports_total",
+             [&] {
+               return std::string("kind=\"") +
+                      core::ReportKindName(report.kind) + "\"";
+             })
         ->Inc();
   }
   {

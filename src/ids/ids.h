@@ -23,6 +23,7 @@
 #include "ids/signature_db.h"
 #include "ids/sketch/stream_ids.h"
 #include "ids/threat_service.h"
+#include "telemetry/metrics.h"
 #include "util/clock.h"
 
 namespace gaa::ids {
@@ -92,6 +93,8 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   core::SystemState* state_;
   util::Clock* clock_;
   telemetry::MetricRegistry* metrics_ = nullptr;
+  /// `ids_reports_total{kind}` handles, indexed by core::ReportKind.
+  telemetry::LazyCounterArray<8> report_counters_;
   core::AuditSink* audit_ = nullptr;
   ThreatService threat_;
   EventBus bus_;

@@ -92,33 +92,29 @@ http::AccessController::Verdict GaaAccessController::Check(
   }
 
   if (services.metrics != nullptr) {
-    static constexpr const char* kMethods[kCachedMethods] = {"GET", "HEAD",
-                                                             "POST"};
+    // Every method the request parser admits has a slot, so a parsed
+    // request never reaches the registry's string lookup.
+    static constexpr const char* kMethods[kDecisionMethods] = {
+        "GET", "HEAD", "POST", "PUT", "DELETE", "OPTIONS", "TRACE"};
+    static constexpr const char* kOutcomes[] = {"yes", "no", "maybe"};
     const int outcome_idx = authz.status == util::Tristate::kYes  ? 0
                             : authz.status == util::Tristate::kNo ? 1
                                                                   : 2;
-    int method_idx = -1;
-    for (int i = 0; i < kCachedMethods; ++i) {
-      if (right.value == kMethods[i]) {
-        method_idx = i;
-        break;
-      }
+    auto labels = [&] {
+      return "right=\"" + right.value + "\",outcome=\"" +
+             kOutcomes[outcome_idx] + "\"";
+    };
+    int method_idx = 0;
+    while (method_idx < kDecisionMethods &&
+           right.value != kMethods[method_idx]) {
+      ++method_idx;
     }
     telemetry::Counter* counter =
-        method_idx >= 0
-            ? decision_counters_[method_idx * 3 + outcome_idx].load(
-                  std::memory_order_relaxed)
-            : nullptr;
-    if (counter == nullptr) {
-      static constexpr const char* kOutcomes[] = {"yes", "no", "maybe"};
-      counter = services.metrics->GetCounter(
-          "gaa_decisions_total", "right=\"" + right.value + "\",outcome=\"" +
-                                     kOutcomes[outcome_idx] + "\"");
-      if (method_idx >= 0) {
-        decision_counters_[method_idx * 3 + outcome_idx].store(
-            counter, std::memory_order_relaxed);
-      }
-    }
+        method_idx < kDecisionMethods
+            ? decision_counters_.Get(
+                  static_cast<std::size_t>(method_idx * 3 + outcome_idx),
+                  *services.metrics, "gaa_decisions_total", labels)
+            : services.metrics->GetCounter("gaa_decisions_total", labels());
     counter->Inc();
   }
 

@@ -11,8 +11,6 @@
 // legitimate-pattern observations for profile building (item 7).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,13 +102,12 @@ class GaaAccessController final : public http::AccessController {
   const http::HtpasswdRegistry* passwords_;
   Options options_;
   std::vector<util::CompiledGlob> sensitive_globs_;
-  /// Lazily resolved `gaa_decisions_total` handles for the common HTTP
-  /// methods × {yes, no, maybe}; uncommon rights fall back to a registry
-  /// lookup.  Valid for the API's lifetime (services.metrics is fixed at
-  /// construction).
-  static constexpr int kCachedMethods = 3;  // GET, HEAD, POST
-  std::array<std::atomic<telemetry::Counter*>, kCachedMethods * 3>
-      decision_counters_{};
+  /// Lazily resolved `gaa_decisions_total` handles for every HTTP method
+  /// the parser admits × {yes, no, maybe}; other rights fall back to a
+  /// registry lookup.  Valid for the API's lifetime (services.metrics is
+  /// fixed at construction).
+  static constexpr int kDecisionMethods = 7;
+  telemetry::LazyCounterArray<kDecisionMethods * 3> decision_counters_;
 
   /// Per-tenant `tenant_requests_total` handles, cached so the per-request
   /// cost is one shared-lock map probe instead of a registry lookup.

@@ -97,52 +97,19 @@ double Histogram::Snapshot::Quantile(double q) const {
                  : (bounds.empty() ? 0.0 : static_cast<double>(bounds.back()));
 }
 
-namespace {
-char KindPrefix(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return 'c';
-    case MetricKind::kGauge:
-      return 'g';
-    case MetricKind::kHistogram:
-      return 'h';
-  }
-  return '?';
-}
-
-std::string MakeKey(MetricKind kind, const std::string& name,
-                    const std::string& labels) {
-  std::string key;
-  key.reserve(name.size() + labels.size() + 3);
-  key.push_back(KindPrefix(kind));
-  key.push_back(':');
-  key += name;
-  key.push_back('\x01');
-  key += labels;
-  return key;
-}
-}  // namespace
-
 MetricRegistry::~MetricRegistry() = default;
 
 MetricRegistry::Slot* MetricRegistry::FindOrCreate(
     MetricKind kind, const std::string& name, const std::string& labels,
-    std::vector<std::uint64_t> histogram_bounds) {
-  const std::string key = MakeKey(kind, name, labels);
-
-  // Fast path: lock-free lookup in the currently-published table.
-  if (const Table* t = table_.load(std::memory_order_acquire)) {
-    auto it = t->by_key.find(key);
-    if (it != t->by_key.end()) return it->second;
-  }
-
-  std::lock_guard<std::mutex> lock(create_mu_);
-  // Re-check under the lock (another thread may have created it).
-  const Table* current = table_.load(std::memory_order_acquire);
-  if (current) {
-    auto it = current->by_key.find(key);
-    if (it != current->by_key.end()) return it->second;
-  }
+    const std::vector<std::uint64_t>* histogram_bounds) {
+  // Kind, name and labels, joined by bytes no name or label contains.
+  std::string key(1, "cgh"[static_cast<int>(kind)]);
+  key.reserve(name.size() + labels.size() + 3);
+  key.append(1, ':').append(name).append(1, '\x01').append(labels);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++lookups_;
+  auto it = index_.find(key);
+  if (it != index_.end()) return it->second;
 
   auto slot = std::make_unique<Slot>();
   slot->name = name;
@@ -156,65 +123,55 @@ MetricRegistry::Slot* MetricRegistry::FindOrCreate(
       slot->gauge = std::make_unique<Gauge>();
       break;
     case MetricKind::kHistogram:
-      slot->histogram = std::make_unique<Histogram>(std::move(histogram_bounds));
+      slot->histogram = std::make_unique<Histogram>(*histogram_bounds);
       break;
   }
   Slot* raw = slot.get();
   slots_.push_back(std::move(slot));
-
-  // Copy-on-write: build the successor table and publish it.  Old tables are
-  // retained so concurrent lock-free readers never chase a freed pointer.
-  auto next = std::make_unique<Table>();
-  if (current) *next = *current;
-  next->by_key.emplace(key, raw);
-  next->ordered.push_back(raw);
-  table_.store(next.get(), std::memory_order_release);
-  tables_.push_back(std::move(next));
+  index_.emplace(std::move(key), raw);
   return raw;
 }
 
 Counter* MetricRegistry::GetCounter(const std::string& name,
                                     const std::string& labels) {
-  return FindOrCreate(MetricKind::kCounter, name, labels, {})->counter.get();
+  return FindOrCreate(MetricKind::kCounter, name, labels, nullptr)
+      ->counter.get();
 }
 
 Gauge* MetricRegistry::GetGauge(const std::string& name,
                                 const std::string& labels) {
-  return FindOrCreate(MetricKind::kGauge, name, labels, {})->gauge.get();
+  return FindOrCreate(MetricKind::kGauge, name, labels, nullptr)->gauge.get();
 }
 
-Histogram* MetricRegistry::GetHistogram(const std::string& name,
-                                        const std::string& labels,
-                                        std::vector<std::uint64_t> bounds) {
-  return FindOrCreate(MetricKind::kHistogram, name, labels, std::move(bounds))
+Histogram* MetricRegistry::GetHistogram(
+    const std::string& name, const std::string& labels,
+    const std::vector<std::uint64_t>& bounds) {
+  return FindOrCreate(MetricKind::kHistogram, name, labels, &bounds)
       ->histogram.get();
 }
 
 std::vector<MetricRegistry::Entry> MetricRegistry::List() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry> out;
-  const Table* t = table_.load(std::memory_order_acquire);
-  if (!t) return out;
-  out.reserve(t->ordered.size());
-  for (Slot* s : t->ordered) {
-    Entry e;
-    e.name = s->name;
-    e.labels = s->labels;
-    e.kind = s->kind;
-    e.counter = s->counter.get();
-    e.gauge = s->gauge.get();
-    e.histogram = s->histogram.get();
-    out.push_back(std::move(e));
+  out.reserve(slots_.size());
+  for (const auto& s : slots_) {
+    out.push_back(Entry{s->name, s->labels, s->kind, s->counter.get(),
+                        s->gauge.get(), s->histogram.get()});
   }
   return out;
 }
 
 void MetricRegistry::ResetAll() {
-  const Table* t = table_.load(std::memory_order_acquire);
-  if (!t) return;
-  for (Slot* s : t->ordered) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& s : slots_) {
     if (s->counter) s->counter->Reset();
     if (s->histogram) s->histogram->Reset();
   }
+}
+
+std::uint64_t MetricRegistry::lookups() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lookups_;
 }
 
 }  // namespace gaa::telemetry

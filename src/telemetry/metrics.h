@@ -7,17 +7,19 @@
 //     updates over cache-line-padded shards indexed by a per-thread slot, so
 //     concurrent workers do not bounce one cache line; histograms use relaxed
 //     atomic adds on per-bucket counters.
-//   * Metric *lookup* by name is lock-free after first creation: the registry
-//     publishes an immutable table through an atomic pointer (copy-on-write;
-//     creation — cold — takes a mutex and installs a new table).  Call sites
-//     on truly hot paths should still cache the returned handle: handles are
+//   * Metric *lookup* by name is cold: one hash index under one mutex, so
+//     memory is linear in the series count.  Serving paths never look a
+//     series up by string; they hold handles resolved at construction, at
+//     policy compile time, or lazily through LazyCounterArray.  Handles are
 //     stable for the registry's lifetime.
 //   * Reads (Value(), snapshots, exposition) are approximate under
 //     concurrency in the usual Prometheus sense: monotone, eventually exact
 //     once writers quiesce.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -157,9 +159,9 @@ class Histogram {
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// Thread-safe metric registry.  Creation is mutex-guarded (cold); lookup
-/// of an existing metric is lock-free (atomic table pointer + hash find);
-/// returned handles are stable until the registry dies.
+/// Thread-safe metric registry: one hash index from (kind, name, labels)
+/// to its slot, plus the slots in creation order, both under one mutex.
+/// Returned handles are stable until the registry dies.
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -172,9 +174,10 @@ class MetricRegistry {
   /// The (kind, name, labels) triple identifies the metric.
   Counter* GetCounter(const std::string& name, const std::string& labels = "");
   Gauge* GetGauge(const std::string& name, const std::string& labels = "");
+  /// `bounds` are copied only when the series is created.
   Histogram* GetHistogram(const std::string& name,
                           const std::string& labels = "",
-                          std::vector<std::uint64_t> bounds = {});
+                          const std::vector<std::uint64_t>& bounds = {});
 
   struct Entry {
     std::string name;
@@ -192,6 +195,9 @@ class MetricRegistry {
   /// Zero every counter and histogram (gauges keep their last value).
   void ResetAll();
 
+  /// Get* calls so far; a warm serving path holds handles, so none.
+  std::uint64_t lookups() const;
+
  private:
   struct Slot {
     std::string name;
@@ -201,19 +207,44 @@ class MetricRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
-  struct Table {
-    std::unordered_map<std::string, Slot*> by_key;
-    std::vector<Slot*> ordered;
-  };
 
   Slot* FindOrCreate(MetricKind kind, const std::string& name,
                      const std::string& labels,
-                     std::vector<std::uint64_t> histogram_bounds);
+                     const std::vector<std::uint64_t>* histogram_bounds);
 
-  std::atomic<const Table*> table_{nullptr};
-  mutable std::mutex create_mu_;                   // creation only
-  std::vector<std::unique_ptr<Slot>> slots_;       // guarded by create_mu_
-  std::vector<std::unique_ptr<Table>> tables_;     // all published tables
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Slot*> index_;  // guarded by mu_
+  std::vector<std::unique_ptr<Slot>> slots_;      // creation order; mu_
+  std::uint64_t lookups_ = 0;                     // guarded by mu_
+};
+
+/// N counter handles of one family.  Slot i (< N) registers
+/// `name{make_labels()}` on first use and publishes the handle with
+/// release/acquire, so a reader that sees it also sees the counter.  Series
+/// stay lazy: the family lists only the slots that have fired.
+template <std::size_t N>
+class LazyCounterArray {
+ public:
+  static constexpr std::size_t kSize = N;
+
+  template <typename MakeLabels>
+  Counter* Get(std::size_t i, MetricRegistry& registry, const char* name,
+               MakeLabels&& make_labels) {
+    Counter* counter = slots_[i].load(std::memory_order_acquire);
+    if (counter == nullptr) {
+      counter = registry.GetCounter(name, make_labels());
+      slots_[i].store(counter, std::memory_order_release);
+    }
+    return counter;
+  }
+
+  /// Forget every handle (the registry they point into is going away).
+  void Clear() {
+    for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
+  }
+
+ private:
+  std::array<std::atomic<Counter*>, N> slots_{};
 };
 
 }  // namespace gaa::telemetry
