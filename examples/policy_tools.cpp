@@ -2,13 +2,16 @@
 // future work ("the function of defining the order of EACL entries ...
 // can be best served by an automated tool to ensure policy correctness and
 // consistency", §2), plus an `explain` mode that prints the full
-// condition-by-condition evaluation trace for a request.
+// condition-by-condition evaluation trace for a request.  The decision
+// itself carries no trace; `explain` asks for one by pointing
+// RequestContext::explain at a vector before authorizing.
 //
 //   policy_tools lint <policy-file>
 //   policy_tools explain <policy-file> <object> <client-ip> [user]
 //   policy_tools               # runs both modes on a built-in demo policy
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "conditions/builtin.h"
 #include "eacl/parser.h"
@@ -90,14 +93,16 @@ int Explain(const std::string& text, const std::string& object,
     ctx.user = user;
   }
 
+  std::vector<gaa::core::CondTrace> trace;
+  ctx.explain = &trace;
   auto authz = api.Authorize(object, {"apache", "GET"}, ctx);
   std::printf("request: GET %s from %s%s%s\n", object.c_str(),
               client_ip.c_str(), user.empty() ? "" : " as ",
               user.c_str());
   std::printf("decision: %s%s\n", gaa::util::TristateName(authz.status),
               authz.applicable ? "" : " (no applicable entry: default deny)");
-  std::printf("\nevaluation trace (%zu conditions):\n", authz.trace.size());
-  for (const auto& step : authz.trace) {
+  std::printf("\nevaluation trace (%zu conditions):\n", trace.size());
+  for (const auto& step : trace) {
     std::printf("  [%-14s] %-50s -> %-5s %s\n",
                 gaa::eacl::CondPhaseName(step.phase),
                 gaa::eacl::PrintCondition(step.cond).c_str(),

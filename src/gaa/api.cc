@@ -100,8 +100,7 @@ telemetry::Histogram* GaaApi::CondHistogram(const eacl::Condition& cond) {
 }
 
 EvalOutcome GaaApi::EvalCondition(const eacl::Condition& cond,
-                                  eacl::CondPhase phase, RequestContext& ctx,
-                                  std::vector<CondTrace>* trace) {
+                                  eacl::CondPhase phase, RequestContext& ctx) {
   telemetry::Histogram* latency = CondHistogram(cond);
   util::Stopwatch sw;
   EvalOutcome outcome;
@@ -117,19 +116,21 @@ EvalOutcome GaaApi::EvalCondition(const eacl::Condition& cond,
   if (latency != nullptr) {
     latency->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
   }
-  if (trace != nullptr) trace->push_back(CondTrace{cond, outcome, phase});
+  if (ctx.explain != nullptr) {
+    ctx.explain->push_back(CondTrace{cond, outcome, phase});
+  }
   return outcome;
 }
 
 GaaApi::BlockResult GaaApi::EvalBlock(
     const std::vector<eacl::Condition>& block, eacl::CondPhase phase,
-    RequestContext& ctx, std::vector<CondTrace>* trace) {
+    RequestContext& ctx) {
   BlockResult result;
   result.status = Tristate::kYes;
   telemetry::ScopedSpan span(block.empty() ? nullptr : ctx.trace,
                              BlockSpanName(phase));
   for (const auto& cond : block) {
-    EvalOutcome outcome = EvalCondition(cond, phase, ctx, trace);
+    EvalOutcome outcome = EvalCondition(cond, phase, ctx);
     if (outcome.status == Tristate::kNo) {
       result.status = Tristate::kNo;
       result.deciding_condition = cond.type;
@@ -159,8 +160,7 @@ GaaApi::PolicyAnswer GaaApi::EvalPolicy(const eacl::Eacl& policy,
     const int entry_index = static_cast<int>(i);
     if (!entry.right.Covers(right.def_auth, right.value)) continue;
 
-    BlockResult pre =
-        EvalBlock(entry.pre, eacl::CondPhase::kPre, ctx, &out->trace);
+    BlockResult pre = EvalBlock(entry.pre, eacl::CondPhase::kPre, ctx);
 
     if (pre.status == Tristate::kNo) {
       // Entry does not apply; scan continues.  Counted as a "miss" so an
@@ -196,8 +196,7 @@ GaaApi::PolicyAnswer GaaApi::EvalPolicy(const eacl::Eacl& policy,
     if (!entry.request_result.empty()) {
       ctx.request_granted = (status == Tristate::kYes);
       BlockResult rr = EvalBlock(entry.request_result,
-                                 eacl::CondPhase::kRequestResult, ctx,
-                                 &out->trace);
+                                 eacl::CondPhase::kRequestResult, ctx);
       ctx.request_granted.reset();
       // "The conjunction of the intermediate result ... is stored in the
       // authorization status."
@@ -291,9 +290,6 @@ AuthzResult GaaApi::CheckAuthorization(const eacl::ComposedPolicy& policy,
   } else {
     out.attribution = std::move(local_attr);
   }
-  out.detail = std::string("authz=") + util::TristateName(out.status) +
-               " right=" + right.def_auth + ":" + right.value +
-               " object=" + ctx.object;
   return out;
 }
 
@@ -312,30 +308,28 @@ void GaaApi::JoinMemoClass(MemoClass* memo, CondPurity purity) {
 }
 
 EvalOutcome GaaApi::EvalCompiledCond(const eacl::CompiledCond& cond,
-                                     RequestContext& ctx,
-                                     std::vector<CondTrace>* trace,
-                                     MemoClass* memo) {
+                                     RequestContext& ctx, MemoClass* memo) {
   JoinMemoClass(memo, cond.purity);
   util::Stopwatch sw;
   EvalOutcome outcome = cond.fn(cond.source, ctx, services_);
   if (cond.latency != nullptr) {
     cond.latency->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
   }
-  if (trace != nullptr) {
-    trace->push_back(CondTrace{cond.source, outcome, cond.phase});
+  if (ctx.explain != nullptr) {
+    ctx.explain->push_back(CondTrace{cond.source, outcome, cond.phase});
   }
   return outcome;
 }
 
 GaaApi::BlockResult GaaApi::EvalCompiledBlock(
     const std::vector<eacl::CompiledCond>& block, eacl::CondPhase phase,
-    RequestContext& ctx, std::vector<CondTrace>* trace, MemoClass* memo) {
+    RequestContext& ctx, MemoClass* memo) {
   BlockResult result;
   result.status = Tristate::kYes;
   telemetry::ScopedSpan span(block.empty() ? nullptr : ctx.trace,
                              BlockSpanName(phase));
   for (const auto& cond : block) {
-    EvalOutcome outcome = EvalCompiledCond(cond, ctx, trace, memo);
+    EvalOutcome outcome = EvalCompiledCond(cond, ctx, memo);
     if (outcome.status == Tristate::kNo) {
       result.status = Tristate::kNo;
       result.deciding_condition = cond.source.type;
@@ -372,8 +366,7 @@ GaaApi::PolicyAnswer GaaApi::EvalCompiledPolicy(
     }
 
     BlockResult pre =
-        EvalCompiledBlock(entry.pre, eacl::CondPhase::kPre, ctx, &out->trace,
-                          memo);
+        EvalCompiledBlock(entry.pre, eacl::CondPhase::kPre, ctx, memo);
 
     if (pre.status == Tristate::kNo) {
       if (entry.outcomes[3] != nullptr) entry.outcomes[3]->Inc();
@@ -399,10 +392,8 @@ GaaApi::PolicyAnswer GaaApi::EvalCompiledPolicy(
 
     if (!entry.request_result.empty()) {
       ctx.request_granted = (status == Tristate::kYes);
-      BlockResult rr =
-          EvalCompiledBlock(entry.request_result,
-                            eacl::CondPhase::kRequestResult, ctx, &out->trace,
-                            memo);
+      BlockResult rr = EvalCompiledBlock(
+          entry.request_result, eacl::CondPhase::kRequestResult, ctx, memo);
       ctx.request_granted.reset();
       status = util::And3(status, rr.status);
       if (rr.status != Tristate::kYes) {
@@ -484,9 +475,6 @@ AuthzResult GaaApi::CheckAuthorizationCompiled(
       (!(have_local && local_status == out.status) && system_attr.has_value());
   out.attribution = std::move(use_system ? system_attr : local_attr);
   *attributed = use_system ? system_entry : local_entry;
-  out.detail = std::string("authz=") + util::TristateName(out.status) +
-               " right=" + right.def_auth + ":" + right.value +
-               " object=" + ctx.object;
   return out;
 }
 
@@ -530,8 +518,6 @@ AuthzResult GaaApi::Authorize(const std::string& object_path,
     std::shared_ptr<const PolicySnapshot> snap = store_->FreshSnapshotFor(
         ctx.tenant, &registry_, registry_.change_version());
     if (snap != nullptr) {
-      const bool memo_on =
-          decision_cache_enabled_ && decision_cache_.capacity() > 0;
       // Read the threat epoch BEFORE evaluating: if the level transitions
       // mid-evaluation, the entry is stored against the older epoch and is
       // conservatively stale, never freshly wrong.  The fence is the
@@ -541,15 +527,12 @@ AuthzResult GaaApi::Authorize(const std::string& object_path,
           services_.state != nullptr
               ? services_.state->TenantThreatEpoch(ctx.tenant)
               : 0;
-      std::string key;
-      if (memo_on) {
-        key = DecisionKey(object_path, right, ctx);
-        if (auto hit = decision_cache_.Get(key, snap->store_version(),
-                                           epoch)) {
-          // Keep per-entry attribution counters exact on the memo fast path.
-          if (hit->entry_counter != nullptr) hit->entry_counter->Inc();
-          return *hit->result;
-        }
+      std::string key = DecisionKey(object_path, right, ctx);
+      if (auto hit = decision_cache_.Get(key, snap->store_version(), epoch)) {
+        // Keep per-entry attribution counters exact on the memo fast path.
+        // A hit evaluated nothing, so ctx.explain stays empty.
+        if (hit->entry_counter != nullptr) hit->entry_counter->Inc();
+        return hit->result;
       }
       telemetry::ScopedSpan lookup_span(ctx.trace, "gaa.snapshot_lookup");
       eacl::CompiledComposition view = snap->ForPath(object_path);
@@ -563,17 +546,15 @@ AuthzResult GaaApi::Authorize(const std::string& object_path,
       // threat epoch) and the result is not MAYBE (a MAYBE must be
       // re-derived so the 401/redirect translation sees fresh unevaluated
       // conditions and new credentials can flip it).
-      if (memo_on && memo != MemoClass::kUncacheable &&
-          out.status != Tristate::kMaybe) {
+      if (memo != MemoClass::kUncacheable && out.status != Tristate::kMaybe) {
         // The memo hit re-counts the attributed entry through its compiled
         // handle; no string lookup on insert or on hit.
         telemetry::Counter* ec =
             attributed != nullptr
                 ? attributed->outcomes[OutcomeIndex(out.status)]
                 : nullptr;
-        decision_cache_.Put(std::move(key), snap->store_version(),
-                            std::make_shared<AuthzResult>(out), ec, epoch,
-                            memo == MemoClass::kThreatFenced);
+        decision_cache_.Put(std::move(key), snap->store_version(), out, ec,
+                            epoch, memo == MemoClass::kThreatFenced);
       }
       return out;
     }
@@ -590,10 +571,7 @@ bool GaaApi::DecisionIsMemoized(const std::string& object_path,
                                 const RequestedRight& right,
                                 util::Ipv4Address client_ip,
                                 std::string_view tenant) const {
-  if (engine_mode_ != EngineMode::kCompiled || !decision_cache_enabled_ ||
-      decision_cache_.capacity() == 0) {
-    return false;
-  }
+  if (engine_mode_ != EngineMode::kCompiled) return false;
   std::shared_ptr<const PolicySnapshot> snap =
       store_->CurrentSnapshotFor(tenant);
   if (snap == nullptr || snap->compiled_for() != &registry_ ||
@@ -616,25 +594,24 @@ bool GaaApi::DecisionIsMemoized(const std::string& object_path,
                                  : 0);
 }
 
-PhaseResult GaaApi::ExecutionControl(const AuthzResult& authz,
-                                     RequestContext& ctx) {
-  PhaseResult result;
+Tristate GaaApi::ExecutionControl(const AuthzResult& authz,
+                                  RequestContext& ctx) {
+  Tristate status = Tristate::kYes;
   // Paper §6 phase 3: no mid-conditions ⇒ YES.
   telemetry::ScopedSpan span(authz.mid_conditions.empty() ? nullptr : ctx.trace,
                              BlockSpanName(eacl::CondPhase::kMid));
   for (const auto& cond : authz.mid_conditions) {
-    EvalOutcome outcome =
-        EvalCondition(cond, eacl::CondPhase::kMid, ctx, &result.trace);
-    result.status = util::And3(result.status, outcome.status);
-    if (result.status == Tristate::kNo) break;
+    status = util::And3(
+        status, EvalCondition(cond, eacl::CondPhase::kMid, ctx).status);
+    if (status == Tristate::kNo) break;
   }
-  return result;
+  return status;
 }
 
-PhaseResult GaaApi::PostExecutionActions(const AuthzResult& authz,
-                                         RequestContext& ctx,
-                                         bool operation_succeeded) {
-  PhaseResult result;
+Tristate GaaApi::PostExecutionActions(const AuthzResult& authz,
+                                      RequestContext& ctx,
+                                      bool operation_succeeded) {
+  Tristate status = Tristate::kYes;
   ctx.stats.completed = true;
   ctx.stats.succeeded = operation_succeeded;
   // Paper §6 phase 4: no post-conditions ⇒ YES; otherwise evaluate all (they
@@ -643,11 +620,10 @@ PhaseResult GaaApi::PostExecutionActions(const AuthzResult& authz,
       authz.post_conditions.empty() ? nullptr : ctx.trace,
       BlockSpanName(eacl::CondPhase::kPost));
   for (const auto& cond : authz.post_conditions) {
-    EvalOutcome outcome =
-        EvalCondition(cond, eacl::CondPhase::kPost, ctx, &result.trace);
-    result.status = util::And3(result.status, outcome.status);
+    status = util::And3(
+        status, EvalCondition(cond, eacl::CondPhase::kPost, ctx).status);
   }
-  return result;
+  return status;
 }
 
 }  // namespace gaa::core

@@ -8,9 +8,11 @@
 //                       local policies protecting an object, compose them
 //                       (§2.1).
 //   phase 2c            CheckAuthorization — ordered evaluation of pre- and
-//                       request-result conditions; returns YES / NO / MAYBE
-//                       plus the full evaluation trace and the conditions
-//                       left unevaluated (drives 401 / redirect translation).
+//                       request-result conditions; returns YES / NO / MAYBE,
+//                       its attribution and the conditions left unevaluated
+//                       (drives 401 / redirect translation).  The
+//                       condition-by-condition trace is collected only when
+//                       the caller sets RequestContext::explain.
 //   phase 3             ExecutionControl — evaluate mid-conditions against
 //                       live operation statistics; NO aborts the operation.
 //   phase 4             PostExecutionActions — evaluate post-conditions with
@@ -35,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,56 +60,12 @@ class Histogram;
 
 namespace gaa::core {
 
-/// One condition's evaluation, in order, for audit and debugging.
+/// One condition's evaluation, appended to RequestContext::explain when a
+/// caller asks for the trace (policy_tools explain, the differential test).
 struct CondTrace {
   eacl::Condition cond;
   EvalOutcome outcome;
   eacl::CondPhase phase = eacl::CondPhase::kPre;
-};
-
-/// Provenance of an authorization decision: the policy, entry index and
-/// condition that produced the final YES / NO / MAYBE.  Best-effort when
-/// several policies combine (the side that settled the composed answer
-/// wins); always present when any entry applied.
-struct DecisionAttribution {
-  std::string policy;     ///< policy name ("system#0", "local:/cgi-bin", a path)
-  int entry = -1;         ///< entry index within that policy
-  std::string condition;  ///< deciding condition type ("" = the right itself)
-  util::Tristate status = util::Tristate::kNo;
-};
-
-/// Answer from CheckAuthorization (paper §6: the authorization status).
-struct AuthzResult {
-  util::Tristate status = util::Tristate::kNo;
-
-  /// Which EACL entry (and condition) decided — for the audit stream,
-  /// per-entry metrics and /__status/policies.  Empty when no entry applied.
-  std::optional<DecisionAttribution> attribution;
-
-  /// Conditions evaluated, in evaluation order.
-  std::vector<CondTrace> trace;
-
-  /// Conditions left unevaluated (no routine registered, missing
-  /// credentials, or deliberately application-interpreted such as
-  /// pre_cond_redirect).  Non-empty exactly when some block went MAYBE via
-  /// unevaluated conditions; the integration layer inspects this for the
-  /// 401-vs-redirect translation.
-  std::vector<eacl::Condition> unevaluated;
-
-  /// Mid/post blocks of the granting entries, saved for phases 3 and 4.
-  std::vector<eacl::Condition> mid_conditions;
-  std::vector<eacl::Condition> post_conditions;
-
-  /// True if any policy entry (on either side) covered the requested right.
-  bool applicable = false;
-
-  std::string detail;  ///< one-line summary for logs
-};
-
-/// Result of the execution-control or post-execution phase.
-struct PhaseResult {
-  util::Tristate status = util::Tristate::kYes;
-  std::vector<CondTrace> trace;
 };
 
 /// Which evaluation pipeline Authorize uses (DESIGN.md §9).
@@ -159,24 +116,20 @@ class GaaApi {
 
   // --- phase 3 ------------------------------------------------------------
   /// May be called repeatedly while the operation runs; ctx.stats carries
-  /// the live statistics.  status NO means "abort the operation now".
-  PhaseResult ExecutionControl(const AuthzResult& authz, RequestContext& ctx);
+  /// the live statistics.  NO means "abort the operation now".
+  util::Tristate ExecutionControl(const AuthzResult& authz,
+                                  RequestContext& ctx);
 
   // --- phase 4 ------------------------------------------------------------
-  PhaseResult PostExecutionActions(const AuthzResult& authz,
-                                   RequestContext& ctx,
-                                   bool operation_succeeded);
+  util::Tristate PostExecutionActions(const AuthzResult& authz,
+                                      RequestContext& ctx,
+                                      bool operation_succeeded);
 
   // --- compiled engine (DESIGN.md §9) --------------------------------------
   void set_engine_mode(EngineMode mode) { engine_mode_ = mode; }
   EngineMode engine_mode() const { return engine_mode_; }
 
-  /// Decision memoization rides on the compiled engine; disabling it keeps
-  /// snapshot evaluation but re-runs every condition per request.
-  void set_decision_cache_enabled(bool enabled) {
-    decision_cache_enabled_ = enabled;
-  }
-  bool decision_cache_enabled() const { return decision_cache_enabled_; }
+  /// Decision memoization rides on the compiled engine.
   const DecisionCache& decision_cache() const { return decision_cache_; }
   void ClearDecisionCache() { decision_cache_.Clear(); }
 
@@ -185,8 +138,8 @@ class GaaApi {
   /// `object_path` from `client_ip` would be answered from the decision
   /// memo — i.e. a pure terminal YES/NO is already cached against the
   /// current snapshot.  Side-effect free and lock-free; false on any doubt
-  /// (stale snapshot, cache disabled, interpreter mode), in which case the
-  /// caller takes the ordinary worker path.
+  /// (stale snapshot, interpreter mode), in which case the caller takes the
+  /// ordinary worker path.
   bool DecisionIsMemoized(const std::string& object_path,
                           const RequestedRight& right,
                           util::Ipv4Address client_ip) const {
@@ -219,17 +172,15 @@ class GaaApi {
   };
 
   /// Evaluate one condition through the registry (unregistered ⇒
-  /// unevaluated ⇒ MAYBE), appending to the trace.  When metrics are
-  /// attached, the evaluation is timed into the per-condition
+  /// unevaluated ⇒ MAYBE), appending to ctx.explain when set.  When metrics
+  /// are attached, the evaluation is timed into the per-condition
   /// `gaa_cond_eval_us{cond,auth}` histogram.
   EvalOutcome EvalCondition(const eacl::Condition& cond,
-                            eacl::CondPhase phase, RequestContext& ctx,
-                            std::vector<CondTrace>* trace);
+                            eacl::CondPhase phase, RequestContext& ctx);
 
   /// Ordered conjunction of a block; stops at the first NO.
   BlockResult EvalBlock(const std::vector<eacl::Condition>& block,
-                        eacl::CondPhase phase, RequestContext& ctx,
-                        std::vector<CondTrace>* trace);
+                        eacl::CondPhase phase, RequestContext& ctx);
 
   PolicyAnswer EvalPolicy(const eacl::Eacl& policy,
                           const std::string& policy_name,
@@ -254,13 +205,10 @@ class GaaApi {
   // memoizes the decision only if it ends at kPure or kThreatFenced.
 
   EvalOutcome EvalCompiledCond(const eacl::CompiledCond& cond,
-                               RequestContext& ctx,
-                               std::vector<CondTrace>* trace,
-                               MemoClass* memo);
+                               RequestContext& ctx, MemoClass* memo);
 
   BlockResult EvalCompiledBlock(const std::vector<eacl::CompiledCond>& block,
                                 eacl::CondPhase phase, RequestContext& ctx,
-                                std::vector<CondTrace>* trace,
                                 MemoClass* memo);
 
   PolicyAnswer EvalCompiledPolicy(const eacl::CompiledPolicy& policy,
@@ -296,7 +244,6 @@ class GaaApi {
   ConditionRegistry registry_;
   EngineMode engine_mode_ = EngineMode::kCompiled;
   DecisionCache decision_cache_;
-  bool decision_cache_enabled_ = true;
 };
 
 }  // namespace gaa::core

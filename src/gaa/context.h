@@ -23,6 +23,8 @@ class RequestTrace;
 
 namespace gaa::core {
 
+struct CondTrace;
+
 /// A typed, authority-tagged parameter attached to a requested right.
 struct Param {
   std::string type;       ///< e.g. "client_ip", "url", "cgi_input_length"
@@ -80,6 +82,12 @@ struct RequestContext {
   /// off).  Condition phases record spans through it; audit records use its
   /// id for correlation.
   telemetry::RequestTrace* trace = nullptr;
+
+  /// Condition-by-condition evaluation record, appended to by both engines
+  /// and by phases 3/4 when non-null (policy_tools explain, tests).  A memo
+  /// hit evaluates nothing and so appends nothing.  Null on the serving
+  /// path: a decision is its answer, not the record of how it was reached.
+  std::vector<CondTrace>* explain = nullptr;
 
   /// First parameter matching type (+ authority unless "*").
   const Param* FindParam(std::string_view type,

@@ -52,7 +52,7 @@ bool DecisionCache::Peek(std::string_view key, std::uint64_t snapshot_version,
 }
 
 void DecisionCache::Put(std::string key, std::uint64_t snapshot_version,
-                        std::shared_ptr<const AuthzResult> result,
+                        AuthzResult result,
                         telemetry::Counter* entry_counter,
                         std::uint64_t state_epoch, bool epoch_fenced) {
   if (slots_ == nullptr) return;

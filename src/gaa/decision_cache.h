@@ -10,10 +10,13 @@
 // Structure: a power-of-two array of atomic slots, direct-mapped by key
 // hash.  Get is one atomic shared_ptr load plus a full-key compare (hash
 // collisions fall back to a miss, never to a wrong answer); Put replaces
-// the slot unconditionally.  The snapshot version is part of the entry, so
-// every policy change invalidates the whole cache implicitly — policy
-// tightening during an attack takes effect on the next request, exactly
-// like the snapshot swap itself.
+// the slot unconditionally.  An entry holds the decision itself — status,
+// attribution, unevaluated list, mid/post blocks — and no evaluation
+// trace, so a slot and a hit cost the same at any policy size.  The
+// snapshot version is part of the entry, so every policy change
+// invalidates the whole cache implicitly — policy tightening during an
+// attack takes effect on the next request, exactly like the snapshot swap
+// itself.
 //
 // Threat-fenced entries (DESIGN.md §12): decisions that passed through a
 // kThreatFenced condition additionally record the SystemState threat epoch
@@ -25,8 +28,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "eacl/ast.h"
+#include "util/tristate.h"
 
 namespace gaa::telemetry {
 class Counter;
@@ -35,7 +43,41 @@ class MetricRegistry;
 
 namespace gaa::core {
 
-struct AuthzResult;
+/// Provenance of an authorization decision: the policy, entry index and
+/// condition that produced the final YES / NO / MAYBE.  Best-effort when
+/// several policies combine (the side that settled the composed answer
+/// wins); always present when any entry applied.
+struct DecisionAttribution {
+  std::string policy;     ///< policy name ("system#0", "local:/cgi-bin", a path)
+  int entry = -1;         ///< entry index within that policy
+  std::string condition;  ///< deciding condition type ("" = the right itself)
+  util::Tristate status = util::Tristate::kNo;
+};
+
+/// Answer from CheckAuthorization (paper §6: the authorization status).
+/// The evaluation trace is not part of it: a caller that wants one sets
+/// RequestContext::explain.
+struct AuthzResult {
+  util::Tristate status = util::Tristate::kNo;
+
+  /// Which EACL entry (and condition) decided — for the audit stream,
+  /// per-entry metrics and /__status/policies.  Empty when no entry applied.
+  std::optional<DecisionAttribution> attribution;
+
+  /// Conditions left unevaluated (no routine registered, missing
+  /// credentials, or deliberately application-interpreted such as
+  /// pre_cond_redirect).  Non-empty exactly when some block went MAYBE via
+  /// unevaluated conditions; the integration layer inspects this for the
+  /// 401-vs-redirect translation.
+  std::vector<eacl::Condition> unevaluated;
+
+  /// Mid/post blocks of the granting entries, saved for phases 3 and 4.
+  std::vector<eacl::Condition> mid_conditions;
+  std::vector<eacl::Condition> post_conditions;
+
+  /// True if any policy entry (on either side) covered the requested right.
+  bool applicable = false;
+};
 
 class DecisionCache {
  public:
@@ -47,7 +89,7 @@ class DecisionCache {
   struct CachedDecision {
     std::string key;
     std::uint64_t snapshot_version = 0;
-    std::shared_ptr<const AuthzResult> result;
+    AuthzResult result;
     /// The deciding entry's eacl_entry_decisions_total handle, so memo
     /// hits keep per-entry attribution counters exact.  May be null.
     telemetry::Counter* entry_counter = nullptr;
@@ -73,7 +115,7 @@ class DecisionCache {
             std::uint64_t state_epoch = 0) const;
 
   void Put(std::string key, std::uint64_t snapshot_version,
-           std::shared_ptr<const AuthzResult> result,
+           AuthzResult result,
            telemetry::Counter* entry_counter, std::uint64_t state_epoch = 0,
            bool epoch_fenced = false);
 

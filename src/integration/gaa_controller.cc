@@ -133,7 +133,9 @@ http::AccessController::Verdict GaaAccessController::Check(
   if (services.audit != nullptr && authz.status != util::Tristate::kYes) {
     core::AuditEvent event;
     event.category = "decision";
-    event.message = authz.detail;
+    event.message = std::string("authz=") + util::TristateName(authz.status) +
+                    " right=" + right.def_auth + ":" + right.value +
+                    " object=" + ctx.object;
     event.trace_id = telemetry::TraceId(ctx.trace);
     event.client = ctx.client_ip.ToString();
     event.tenant = ctx.tenant;
@@ -177,8 +179,7 @@ bool GaaAccessController::OnExecution(http::RequestRec& rec,
   state.ctx.stats.memory_bytes = obs.memory_bytes;
   state.ctx.stats.files_created = obs.files_touched;
 
-  core::PhaseResult result = api_->ExecutionControl(state.authz, state.ctx);
-  if (result.status == util::Tristate::kNo) {
+  if (api_->ExecutionControl(state.authz, state.ctx) == util::Tristate::kNo) {
     state.aborted = true;
     return false;  // abort the operation
   }

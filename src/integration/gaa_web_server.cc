@@ -114,13 +114,10 @@ GaaWebServer::GaaWebServer(http::DocTree tree, Options options)
     audit_->AttachFileStream(options_.audit_stream.path, sopts);
   }
 
-  EnvOverride("GAA_COMPILED_ENGINE", &options_.enable_compiled_engine);
-  EnvOverride("GAA_DECISION_CACHE", &options_.enable_decision_cache);
   api_ = std::make_unique<core::GaaApi>(&store_, services);
   api_->set_engine_mode(options_.enable_compiled_engine
                             ? core::EngineMode::kCompiled
                             : core::EngineMode::kInterpreted);
-  api_->set_decision_cache_enabled(options_.enable_decision_cache);
 
   core::RoutineCatalog catalog;
   cond::RegisterBuiltinRoutines(catalog);

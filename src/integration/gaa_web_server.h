@@ -47,12 +47,9 @@ class GaaWebServer {
     /// cost — the 80 % overhead of §8 is an artifact of blocking delivery).
     bool asynchronous_notification = false;
     /// Compiled policy engine (DESIGN.md §9): evaluate the immutable IR
-    /// published by the policy store instead of interpreting the AST.
-    /// Environment override: GAA_COMPILED_ENGINE (0/1).
+    /// published by the policy store (and memoize its pure terminal
+    /// decisions) instead of interpreting the AST.
     bool enable_compiled_engine = true;
-    /// Decision memoization on top of the compiled engine.  Environment
-    /// override: GAA_DECISION_CACHE (0/1).
-    bool enable_decision_cache = true;
     /// Forwarded to the GAA access controller.
     GaaAccessController::Options controller;
     /// Escalation thresholds for the embedded IDS threat service.  Raise

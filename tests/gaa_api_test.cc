@@ -294,19 +294,18 @@ TEST_F(GaaApiTest, ExecutionControlPhase) {
   auto authz = Check("",
                      "pos_access_right apache *\n"
                      "mid_cond_true local a\n");
-  auto phase = api_.ExecutionControl(authz, ctx_);
-  EXPECT_EQ(phase.status, Tristate::kYes);
+  EXPECT_EQ(api_.ExecutionControl(authz, ctx_), Tristate::kYes);
 
   authz = Check("",
                 "pos_access_right apache *\n"
                 "mid_cond_false local a\n");
-  phase = api_.ExecutionControl(authz, ctx_);
-  EXPECT_EQ(phase.status, Tristate::kNo);  // abort the operation
+  EXPECT_EQ(api_.ExecutionControl(authz, ctx_),
+            Tristate::kNo);  // abort the operation
 }
 
 TEST_F(GaaApiTest, ExecutionControlWithNoMidConditionsIsYes) {
   auto authz = Check("", "pos_access_right apache *\n");
-  EXPECT_EQ(api_.ExecutionControl(authz, ctx_).status, Tristate::kYes);
+  EXPECT_EQ(api_.ExecutionControl(authz, ctx_), Tristate::kYes);
 }
 
 TEST_F(GaaApiTest, PostExecutionSeesOperationOutcome) {
@@ -322,21 +321,37 @@ TEST_F(GaaApiTest, PostExecutionSeesOperationOutcome) {
 
 TEST_F(GaaApiTest, PostExecutionWithNoConditionsIsYes) {
   auto authz = Check("", "pos_access_right apache *\n");
-  EXPECT_EQ(api_.PostExecutionActions(authz, ctx_, true).status,
-            Tristate::kYes);
+  EXPECT_EQ(api_.PostExecutionActions(authz, ctx_, true), Tristate::kYes);
 }
 
 TEST_F(GaaApiTest, TraceRecordsEvaluationOrder) {
-  auto authz = Check("",
-                     "pos_access_right apache *\n"
-                     "pre_cond_true local one\n"
-                     "pre_cond_true local two\n"
-                     "rr_cond_probe local three\n");
-  ASSERT_EQ(authz.trace.size(), 3u);
-  EXPECT_EQ(authz.trace[0].cond.value, "one");
-  EXPECT_EQ(authz.trace[1].cond.value, "two");
-  EXPECT_EQ(authz.trace[2].cond.value, "three");
-  EXPECT_EQ(authz.trace[2].phase, eacl::CondPhase::kRequestResult);
+  ASSERT_TRUE(store_
+                  .SetLocalPolicy("/",
+                                  "pos_access_right apache *\n"
+                                  "pre_cond_true local one\n"
+                                  "pre_cond_true local two\n"
+                                  "rr_cond_probe local three\n"
+                                  "mid_cond_true local four\n"
+                                  "post_cond_probe local five\n")
+                  .ok());
+  std::vector<CondTrace> trace;
+  ctx_ = MakeContext("10.0.0.1", "/x", "GET");
+  ctx_.explain = &trace;
+  auto authz = api_.Authorize("/x", RequestedRight{"apache", "GET"}, ctx_);
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace[0].cond.value, "one");
+  EXPECT_EQ(trace[1].cond.value, "two");
+  EXPECT_EQ(trace[2].cond.value, "three");
+  EXPECT_EQ(trace[2].phase, eacl::CondPhase::kRequestResult);
+
+  // Phases 3 and 4 append to the same trace.
+  api_.ExecutionControl(authz, ctx_);
+  api_.PostExecutionActions(authz, ctx_, /*operation_succeeded=*/true);
+  ASSERT_EQ(trace.size(), 5u);
+  EXPECT_EQ(trace[3].cond.value, "four");
+  EXPECT_EQ(trace[3].phase, eacl::CondPhase::kMid);
+  EXPECT_EQ(trace[4].cond.value, "five");
+  EXPECT_EQ(trace[4].phase, eacl::CondPhase::kPost);
 }
 
 TEST_F(GaaApiTest, InitializeFromConfigBindsBuiltins) {

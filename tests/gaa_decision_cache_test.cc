@@ -1,9 +1,7 @@
 // Decision memoization (DESIGN.md §9.4): admission rules, version fencing,
-// attribution-counter fidelity on the fast path, and the telemetry mirrors
-// for both the memo cache and the legacy LRU policy cache.
+// attribution-counter fidelity on the fast path, and the memo's telemetry
+// mirrors.
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "conditions/builtin.h"
 #include "gaa/api.h"
@@ -20,13 +18,13 @@ using util::Tristate;
 
 TEST(DecisionCacheUnit, VersionFencesStaleAnswers) {
   DecisionCache cache(8);
-  auto result = std::make_shared<AuthzResult>();
-  result->status = Tristate::kYes;
+  AuthzResult result;
+  result.status = Tristate::kYes;
   cache.Put("k", /*snapshot_version=*/1, result, nullptr);
 
   auto hit = cache.Get("k", 1);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->result->status, Tristate::kYes);
+  EXPECT_EQ(hit->result.status, Tristate::kYes);
 
   // Same key, newer snapshot: the entry is fenced out — a policy change
   // invalidates every cached decision without any explicit flush.
@@ -164,16 +162,6 @@ TEST(DecisionMemo, EffectConditionsBlockAdmissionAndKeepFiring) {
   // swallow the paper's intrusion-response actions.
   EXPECT_EQ(s.rig.audit.CountCategory("memo"), 3u);
   EXPECT_EQ(s.api.decision_cache().insertions(), 0u);
-}
-
-TEST(DecisionMemo, DisabledCacheStillEvaluatesCompiled) {
-  Stack s;
-  s.api.set_decision_cache_enabled(false);
-  ASSERT_TRUE(s.store.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
-  RequestContext ctx = MakeContext();
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(s.Go(ctx).status, Tristate::kYes);
-  EXPECT_EQ(s.api.decision_cache().insertions(), 0u);
-  EXPECT_EQ(s.api.decision_cache().hits(), 0u);
 }
 
 TEST(CacheTelemetry, DecisionCacheCountersExported) {

@@ -4,7 +4,8 @@
 // Heap accounting replaces the global operator new/delete and tracks live
 // bytes through malloc_usable_size, so the figure is real under ASan and
 // TSan too (their runtimes intercept malloc, not this hook).  The hook is
-// process-wide, which is why this is its own binary.
+// process-wide, which is why this is its own binary.  The hook also counts
+// allocations, for laws stated per operation rather than per byte.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -15,18 +16,23 @@
 #include <new>
 #include <string>
 
+#include "conditions/builtin.h"
 #include "eacl/compile.h"
 #include "eacl/parser.h"
+#include "gaa/api.h"
 #include "telemetry/metrics.h"
+#include "testing/helpers.h"
 
 namespace {
 
 std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_allocations{0};
 
 void* Track(void* p) {
   if (p != nullptr) {
     g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
                            std::memory_order_relaxed);
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
   return p;
 }
@@ -87,7 +93,7 @@ namespace gaa {
 namespace {
 
 /// perfbench static_get's policy shape: `deny` host screens, then a grant.
-eacl::Eacl DenyList(int deny) {
+std::string DenyListText(int deny) {
   std::string text = "eacl_mode 1\n";
   for (int i = 0; i < deny; ++i) {
     text += "neg_access_right * *\npre_cond_accessid HOST local 10." +
@@ -95,7 +101,11 @@ eacl::Eacl DenyList(int deny) {
             ".0/24\n";
   }
   text += "pos_access_right * *\n";
-  auto parsed = eacl::ParseEacl(text);
+  return text;
+}
+
+eacl::Eacl DenyList(int deny) {
+  auto parsed = eacl::ParseEacl(DenyListText(deny));
   EXPECT_TRUE(parsed.ok());
   return std::move(parsed).take();
 }
@@ -138,6 +148,66 @@ TEST(GrowthLaw, RegistrySeriesAreLinear) {
             << small.bytes << " bytes), " << large_per << " at 3000 ("
             << large.bytes << " bytes)\n";
   EXPECT_LE(large_per, 1.5 * small_per);
+}
+
+struct MemoGrowth {
+  double bytes_per_slot = 0;
+  std::size_t slots = 0;
+  std::int64_t hit_allocations = 0;
+};
+
+/// Serve `kClients` distinct clients once each through a deny list of
+/// `deny` pure host screens plus a grant, so each request misses and fills
+/// one memo slot, then repeat one request as a warm hit.
+MemoGrowth FillMemo(int deny) {
+  constexpr int kClients = 256;
+  testing::TestRig rig;
+  core::PolicyStore store;
+  core::GaaApi api(&store, rig.services);
+  core::RoutineCatalog catalog;
+  cond::RegisterBuiltinRoutines(catalog);
+  EXPECT_TRUE(api.Initialize(catalog, cond::DefaultConfigText(), "").ok());
+  EXPECT_TRUE(store.AddSystemPolicy(DenyListText(deny)).ok());
+  const core::RequestedRight right{"apache", "GET"};
+  auto authorize = [&](int client) {
+    core::RequestContext ctx = testing::MakeContext(
+        "192.168." + std::to_string(client / 250) + "." +
+        std::to_string(client % 250));
+    EXPECT_EQ(api.Authorize(ctx.object, right, ctx).status,
+              util::Tristate::kYes);
+  };
+
+  authorize(kClients);  // warm-up: compiles the snapshot, fills one slot
+  const std::size_t slots_before = api.decision_cache().size();
+  const std::int64_t bytes_before = g_live_bytes.load();
+  for (int client = 0; client < kClients; ++client) authorize(client);
+  MemoGrowth g;
+  g.slots = api.decision_cache().size() - slots_before;
+  g.bytes_per_slot = static_cast<double>(g_live_bytes.load() - bytes_before) /
+                     static_cast<double>(g.slots);
+
+  core::RequestContext ctx = testing::MakeContext("192.168.0.7");
+  const std::uint64_t hits = api.decision_cache().hits();
+  const std::int64_t allocations_before = g_allocations.load();
+  const core::AuthzResult hit = api.Authorize(ctx.object, right, ctx);
+  g.hit_allocations = g_allocations.load() - allocations_before;
+  EXPECT_EQ(api.decision_cache().hits(), hits + 1) << "not a memo hit";
+  EXPECT_EQ(hit.status, util::Tristate::kYes);
+  return g;
+}
+
+TEST(GrowthLaw, MemoSlotIsConstantInPolicySize) {
+  const MemoGrowth small = FillMemo(1);
+  const MemoGrowth large = FillMemo(300);  // 301 entries, as static_get
+  std::cout << "memo bytes per slot: " << small.bytes_per_slot
+            << " at 1 deny entry, " << large.bytes_per_slot << " at 300 ("
+            << large.slots << " slots); warm-hit allocations: "
+            << small.hit_allocations << " and " << large.hit_allocations
+            << "\n";
+  ASSERT_GT(small.slots, 0u);
+  EXPECT_EQ(small.slots, large.slots);
+  EXPECT_LE(large.bytes_per_slot, 1.25 * small.bytes_per_slot);
+  EXPECT_EQ(small.hit_allocations, large.hit_allocations);
 }
 
 }  // namespace

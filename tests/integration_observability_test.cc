@@ -36,6 +36,8 @@ TEST(Observability, DeniedRequestIsAuditedWithAttribution) {
   ASSERT_GE(decisions.size(), 1u);
   const audit::AuditRecord& rec = decisions.back();
   EXPECT_EQ(rec.decision, "no");
+  EXPECT_EQ(rec.message,
+            "authz=NO right=apache:GET object=/private/report.html");
   EXPECT_EQ(rec.client, "10.9.9.9");
   EXPECT_EQ(rec.policy, "local:/private");
   EXPECT_EQ(rec.entry, 0);
