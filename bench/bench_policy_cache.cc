@@ -8,8 +8,11 @@
 // for lock-free reuse.  We sweep the policy size and compare the
 // paper-faithful parse-on-retrieve interpreter with the compiled snapshot,
 // for two policy families: signature entries (effect conditions, so no
-// decision memoization) and pure host screening (memoized).  A1b checks
-// that the request after a policy change sees the new policy.
+// decision memoization) and pure host screening (memoized).  Each cell
+// reports the median, min and max of kRepetitions per-loop means, so one
+// noisy loop cannot move a cell.  A1b checks that the request after a
+// policy change sees the new policy.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -56,6 +59,25 @@ double MeasureMeanMs(gaa::web::GaaWebServer& server, int iterations) {
   return Summarize(std::move(samples)).mean_ms;
 }
 
+constexpr int kRepetitions = 5;
+
+struct Spread {
+  double median_ms = 0;
+  double min_ms = 0;
+  double max_ms = 0;
+};
+
+/// Warm `server`, then time kRepetitions loops of 2000 requests.
+Spread MeasureSpread(gaa::web::GaaWebServer& server) {
+  (void)MeasureMeanMs(server, 200);
+  std::vector<double> means_ms;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    means_ms.push_back(MeasureMeanMs(server, 2000));
+  }
+  std::sort(means_ms.begin(), means_ms.end());
+  return {means_ms[means_ms.size() / 2], means_ms.front(), means_ms.back()};
+}
+
 /// Server with `policy` on "/": the compiled snapshot engine (the default)
 /// or the paper-faithful parse-on-retrieve interpreter.
 std::unique_ptr<gaa::web::GaaWebServer> MakeServer(bool compiled,
@@ -84,7 +106,10 @@ int main(int argc, char** argv) {
 
   PrintHeader("A1: parse-on-retrieve interpreter vs compiled snapshot "
               "(paper section 9 future work)");
-  std::printf("%-10s %-10s %14s %14s %10s %10s\n", "policy", "entries",
+  std::printf("%d repetitions of 2000 requests per cell: median [min, max] "
+              "of the per-repetition means\n",
+              kRepetitions);
+  std::printf("%-10s %-8s %30s %30s %9s %9s\n", "policy", "entries",
               "parse_ms", "compiled_ms", "speedup", "memo_hit");
   struct Family {
     const char* name;
@@ -95,24 +120,29 @@ int main(int argc, char** argv) {
     for (int entries : {1, 4, 16, 64, 256}) {
       const std::string policy = family.policy(entries);
       auto parsed = MakeServer(/*compiled=*/false, policy);
-      (void)MeasureMeanMs(*parsed, 200);  // warm
-      double parse_ms = MeasureMeanMs(*parsed, 2000);
+      const Spread parse = MeasureSpread(*parsed);
       auto compiled = MakeServer(/*compiled=*/true, policy);
-      (void)MeasureMeanMs(*compiled, 200);  // warm
-      double compiled_ms = MeasureMeanMs(*compiled, 2000);
+      const Spread comp = MeasureSpread(*compiled);
+      const double speedup = parse.median_ms / comp.median_ms;
       const auto& memo = compiled->api().decision_cache();
       double lookups = static_cast<double>(memo.hits() + memo.misses());
       double memo_hit_rate =
           lookups > 0 ? 100.0 * static_cast<double>(memo.hits()) / lookups
                       : 0.0;
-      std::printf("%-10s %-10d %14.5f %14.5f %9.2fx %9.1f%%\n", family.name,
-                  entries, parse_ms, compiled_ms, parse_ms / compiled_ms,
-                  memo_hit_rate);
+      std::printf(
+          "%-10s %-8d %8.5f [%8.5f, %8.5f] %8.5f [%8.5f, %8.5f] %8.2fx "
+          "%8.1f%%\n",
+          family.name, entries, parse.median_ms, parse.min_ms, parse.max_ms,
+          comp.median_ms, comp.min_ms, comp.max_ms, speedup, memo_hit_rate);
       const std::string key =
           std::string(family.name) + "_" + std::to_string(entries);
-      report.Set(key, "parse_on_retrieve_ms", parse_ms);
-      report.Set(key, "compiled_ms", compiled_ms);
-      report.Set(key, "speedup", parse_ms / compiled_ms);
+      report.Set(key, "parse_on_retrieve_ms", parse.median_ms);
+      report.Set(key, "parse_on_retrieve_min_ms", parse.min_ms);
+      report.Set(key, "parse_on_retrieve_max_ms", parse.max_ms);
+      report.Set(key, "compiled_ms", comp.median_ms);
+      report.Set(key, "compiled_min_ms", comp.min_ms);
+      report.Set(key, "compiled_max_ms", comp.max_ms);
+      report.Set(key, "speedup", speedup);
       report.Set(key, "memo_hit_rate_pct", memo_hit_rate);
     }
   }

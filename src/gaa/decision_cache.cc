@@ -14,17 +14,13 @@ std::size_t RoundUpPow2(std::size_t n) {
 }
 }  // namespace
 
-DecisionCache::DecisionCache(std::size_t slots) {
-  if (slots == 0) return;
-  std::size_t n = RoundUpPow2(slots);
-  mask_ = n - 1;
-  slots_ = std::make_unique<Slot[]>(n);
-}
+DecisionCache::DecisionCache(std::size_t slots)
+    : mask_(RoundUpPow2(slots) - 1),
+      slots_(std::make_unique<Slot[]>(mask_ + 1)) {}
 
 std::shared_ptr<const DecisionCache::CachedDecision> DecisionCache::Get(
     std::string_view key, std::uint64_t snapshot_version,
     std::uint64_t state_epoch) {
-  if (slots_ == nullptr) return nullptr;
   std::size_t slot = std::hash<std::string_view>{}(key)&mask_;
   std::shared_ptr<const CachedDecision> entry =
       slots_[slot].load(std::memory_order_acquire);
@@ -42,7 +38,6 @@ std::shared_ptr<const DecisionCache::CachedDecision> DecisionCache::Get(
 
 bool DecisionCache::Peek(std::string_view key, std::uint64_t snapshot_version,
                          std::uint64_t state_epoch) const {
-  if (slots_ == nullptr) return false;
   std::size_t slot = std::hash<std::string_view>{}(key)&mask_;
   std::shared_ptr<const CachedDecision> entry =
       slots_[slot].load(std::memory_order_acquire);
@@ -55,7 +50,6 @@ void DecisionCache::Put(std::string key, std::uint64_t snapshot_version,
                         AuthzResult result,
                         telemetry::Counter* entry_counter,
                         std::uint64_t state_epoch, bool epoch_fenced) {
-  if (slots_ == nullptr) return;
   auto entry = std::make_shared<CachedDecision>();
   entry->key = std::move(key);
   entry->snapshot_version = snapshot_version;
@@ -70,14 +64,12 @@ void DecisionCache::Put(std::string key, std::uint64_t snapshot_version,
 }
 
 void DecisionCache::Clear() {
-  if (slots_ == nullptr) return;
   for (std::size_t i = 0; i <= mask_; ++i) {
     slots_[i].store(nullptr, std::memory_order_release);
   }
 }
 
 std::size_t DecisionCache::size() const {
-  if (slots_ == nullptr) return 0;
   std::size_t n = 0;
   for (std::size_t i = 0; i <= mask_; ++i) {
     if (slots_[i].load(std::memory_order_acquire) != nullptr) ++n;

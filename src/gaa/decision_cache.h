@@ -83,7 +83,7 @@ class DecisionCache {
  public:
   static constexpr std::size_t kDefaultSlots = 4096;
 
-  /// `slots` is rounded up to a power of two; 0 disables the cache.
+  /// `slots` is rounded up to a power of two.
   explicit DecisionCache(std::size_t slots = kDefaultSlots);
 
   struct CachedDecision {
@@ -136,7 +136,7 @@ class DecisionCache {
   std::uint64_t insertions() const {
     return insertions_.load(std::memory_order_relaxed);
   }
-  std::size_t capacity() const { return mask_ == 0 ? 0 : mask_ + 1; }
+  std::size_t capacity() const { return mask_ + 1; }
   /// Occupied slots (approximate under concurrency; tests only).
   std::size_t size() const;
 

@@ -9,26 +9,59 @@
 
 namespace gaa::core {
 
-util::VoidResult PolicyStore::AddSystemPolicy(const std::string& eacl_text) {
-  return AddSystemPolicyNamed(eacl_text, "");
-}
+namespace {
 
-util::VoidResult PolicyStore::AddSystemPolicyNamed(const std::string& eacl_text,
-                                                   const std::string& name) {
+util::Result<eacl::Eacl> ParseValidated(const std::string& eacl_text) {
   auto parsed = eacl::ParseEacl(eacl_text);
   if (!parsed.ok()) return parsed.error();
   auto valid = eacl::Validate(parsed.value());
   if (!valid.ok()) return valid.error();
+  return parsed;
+}
+
+std::string PrefixKey(const std::string& dir_prefix) {
+  return dir_prefix.empty() ? "/" : dir_prefix;
+}
+
+}  // namespace
+
+util::VoidResult PolicyStore::AddTenantSystemPolicy(
+    const std::string& tenant, const std::string& eacl_text,
+    const std::string& name) {
+  auto parsed = ParseValidated(eacl_text);
+  if (!parsed.ok()) return parsed.error();
   std::lock_guard<std::mutex> lock(mu_);
-  system_policies_.push_back(std::move(parsed).take());
-  system_texts_.push_back(eacl_text);
-  system_names_.push_back(
-      name.empty() ? "system#" + std::to_string(system_policies_.size() - 1)
-                   : name);
-  version_.fetch_add(1);
-  default_version_.fetch_add(1, std::memory_order_release);
-  RepublishAllLocked();
+  std::vector<PolicySource>& system = sources_[tenant].system;
+  system.push_back({std::move(parsed).take(), eacl_text,
+                    name.empty() ? "system#" + std::to_string(system.size())
+                                 : name});
+  CommitLocked(tenant);
   return util::VoidResult::Ok();
+}
+
+util::VoidResult PolicyStore::SetTenantLocalPolicy(
+    const std::string& tenant, const std::string& dir_prefix,
+    const std::string& eacl_text) {
+  auto parsed = ParseValidated(eacl_text);
+  if (!parsed.ok()) return parsed.error();
+  std::string key = PrefixKey(dir_prefix);
+  std::lock_guard<std::mutex> lock(mu_);
+  sources_[tenant].locals[key] = {std::move(parsed).take(), eacl_text,
+                                  "local:" + key};
+  CommitLocked(tenant);
+  return util::VoidResult::Ok();
+}
+
+bool PolicyStore::RemoveTenantLocalPolicy(const std::string& tenant,
+                                          const std::string& dir_prefix) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sources_.find(tenant);
+  if (it == sources_.end()) return false;
+  bool removed = it->second.locals.erase(PrefixKey(dir_prefix)) > 0;
+  // Commit even when nothing was erased: every mutator ends in the same
+  // bump + republish, so the published table can never lag its sources.
+  CommitLocked(tenant);
+  return removed;
 }
 
 util::VoidResult PolicyStore::AddSystemPolicyFile(const std::string& path) {
@@ -44,50 +77,16 @@ util::VoidResult PolicyStore::SetLocalPolicyFile(const std::string& dir_prefix,
   return SetLocalPolicy(dir_prefix, text.value());
 }
 
-util::VoidResult PolicyStore::SetLocalPolicy(const std::string& dir_prefix,
-                                             const std::string& eacl_text) {
-  auto parsed = eacl::ParseEacl(eacl_text);
-  if (!parsed.ok()) return parsed.error();
-  auto valid = eacl::Validate(parsed.value());
-  if (!valid.ok()) return valid.error();
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
-  std::lock_guard<std::mutex> lock(mu_);
-  local_policies_[key] = std::move(parsed).take();
-  local_texts_[key] = eacl_text;
-  version_.fetch_add(1);
-  default_version_.fetch_add(1, std::memory_order_release);
-  RepublishAllLocked();
-  return util::VoidResult::Ok();
-}
-
-bool PolicyStore::RemoveLocalPolicy(const std::string& dir_prefix) {
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
-  std::lock_guard<std::mutex> lock(mu_);
-  bool removed = local_policies_.erase(key) > 0;
-  removed = local_texts_.erase(key) > 0 || removed;
-  // Republish even when nothing was erased: the bump + rebuild must track
-  // *any* divergence between the source maps and the published snapshot
-  // (the text and parsed maps are erased separately above, so gating the
-  // rebuild on just one of them is exactly the staleness bug this funnels
-  // away from).
-  version_.fetch_add(1);
-  default_version_.fetch_add(1, std::memory_order_release);
-  RepublishAllLocked();
-  return removed;
-}
-
 void PolicyStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  system_policies_.clear();
-  system_texts_.clear();
-  system_names_.clear();
-  local_policies_.clear();
-  local_texts_.clear();
-  tenants_.clear();
+  sources_.clear();
+  sources_.try_emplace("");
+  CommitLocked("");
+}
+
+void PolicyStore::CommitLocked(const std::string& tenant) {
   version_.fetch_add(1);
-  default_version_.fetch_add(1, std::memory_order_release);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishAllLocked();
+  RepublishLocked(tenant.empty() ? nullptr : &tenant);
 }
 
 std::vector<std::string> PolicyStore::DirectoryChain(
@@ -105,49 +104,65 @@ std::vector<std::string> PolicyStore::DirectoryChain(
   return chain;
 }
 
-eacl::ComposedPolicy PolicyStore::PoliciesFor(
-    const std::string& object_path) const {
+std::array<const PolicyStore::NamespaceSources*, 2> PolicyStore::LayersLocked(
+    std::string_view tenant) const {
+  const NamespaceSources* own = nullptr;
+  if (!tenant.empty()) {
+    auto it = sources_.find(tenant);
+    if (it != sources_.end()) own = &it->second;
+  }
+  return {&GlobalLocked(), own};
+}
+
+eacl::ComposedPolicy PolicyStore::PoliciesForTenant(
+    std::string_view tenant, const std::string& object_path) const {
+  // Paper-faithful mode reads and translates the policy text per request
+  // (gaa_get_object_policy_info "reads the system-wide policy file,
+  // converts it to the internal EACL representation...").
+  const bool reparse = parse_on_retrieve_.load();
   std::vector<eacl::Eacl> system_list;
   std::vector<eacl::Eacl> local_list;
   std::vector<std::string> system_names;
   std::vector<std::string> local_names;
-  if (parse_on_retrieve_.load()) {
-    // Paper-faithful mode: read and translate the policy text per request
-    // (gaa_get_object_policy_info "reads the system-wide policy file,
-    // converts it to the internal EACL representation...").
-    std::vector<std::string> system_texts;
-    std::vector<std::string> local_texts;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      system_texts = system_texts_;
-      system_names = system_names_;
-      for (const auto& dir : DirectoryChain(object_path)) {
-        auto it = local_texts_.find(dir);
-        if (it != local_texts_.end()) {
-          local_texts.push_back(it->second);
-          local_names.push_back("local:" + it->first);
-        }
-      }
+  std::vector<std::string> system_texts;
+  std::vector<std::string> local_texts;
+  auto take = [reparse](const PolicySource& src, std::vector<eacl::Eacl>& list,
+                        std::vector<std::string>& texts,
+                        std::vector<std::string>& names) {
+    if (reparse) {
+      texts.push_back(src.text);
+    } else {
+      list.push_back(src.policy);
     }
-    for (const auto& text : system_texts) {
-      auto parsed = eacl::ParseEacl(text);
-      if (parsed.ok()) system_list.push_back(std::move(parsed).take());
-    }
-    for (const auto& text : local_texts) {
-      auto parsed = eacl::ParseEacl(text);
-      if (parsed.ok()) local_list.push_back(std::move(parsed).take());
-    }
-  } else {
+    names.push_back(src.name);
+  };
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    system_list = system_policies_;
-    system_names = system_names_;
-    for (const auto& dir : DirectoryChain(object_path)) {
-      auto it = local_policies_.find(dir);
-      if (it != local_policies_.end()) {
-        local_list.push_back(it->second);
-        local_names.push_back("local:" + it->first);
+    const auto layers = LayersLocked(tenant);
+    for (const NamespaceSources* layer : layers) {
+      if (layer == nullptr) continue;
+      for (const PolicySource& src : layer->system) {
+        take(src, system_list, system_texts, system_names);
       }
     }
+    for (const auto& dir : DirectoryChain(object_path)) {
+      // A later layer's local shadows an earlier one's at the same prefix.
+      const PolicySource* local = nullptr;
+      for (const NamespaceSources* layer : layers) {
+        if (layer == nullptr) continue;
+        auto it = layer->locals.find(dir);
+        if (it != layer->locals.end()) local = &it->second;
+      }
+      if (local != nullptr) take(*local, local_list, local_texts, local_names);
+    }
+  }
+  for (const auto& text : system_texts) {
+    auto parsed = eacl::ParseEacl(text);
+    if (parsed.ok()) system_list.push_back(std::move(parsed).take());
+  }
+  for (const auto& text : local_texts) {
+    auto parsed = eacl::ParseEacl(text);
+    if (parsed.ok()) local_list.push_back(std::move(parsed).take());
   }
   return eacl::Compose(std::move(system_list), std::move(local_list),
                        std::move(system_names), std::move(local_names));
@@ -162,164 +177,60 @@ util::VoidResult PolicyStore::AddTenant(const std::string& tenant) {
                             "default namespace)");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = tenants_.try_emplace(tenant);
-  if (!inserted) return util::VoidResult::Ok();  // idempotent
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishTenantLocked(tenant);
+  if (!sources_.try_emplace(tenant).second) {
+    return util::VoidResult::Ok();  // idempotent
+  }
+  CommitLocked(tenant);
   return util::VoidResult::Ok();
 }
 
 bool PolicyStore::RemoveTenant(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (tenants_.erase(tenant) == 0) return false;
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  SwapTenantTableLocked(tenant, nullptr);
+  if (tenant.empty() || sources_.erase(tenant) == 0) return false;
+  CommitLocked(tenant);
   return true;
 }
 
 bool PolicyStore::HasTenant(std::string_view tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tenants_.find(tenant) != tenants_.end();
+  return !tenant.empty() && sources_.find(tenant) != sources_.end();
 }
 
 std::vector<std::string> PolicyStore::TenantNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  names.reserve(tenants_.size());
-  for (const auto& [name, sources] : tenants_) names.push_back(name);
+  names.reserve(sources_.size() - 1);
+  for (auto it = std::next(sources_.begin()); it != sources_.end(); ++it) {
+    names.push_back(it->first);
+  }
   return names;
 }
 
 std::size_t PolicyStore::tenant_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tenants_.size();
-}
-
-util::VoidResult PolicyStore::AddTenantSystemPolicy(const std::string& tenant,
-                                                    const std::string& eacl_text,
-                                                    const std::string& name) {
-  if (tenant.empty()) return AddSystemPolicyNamed(eacl_text, name);
-  auto parsed = eacl::ParseEacl(eacl_text);
-  if (!parsed.ok()) return parsed.error();
-  auto valid = eacl::Validate(parsed.value());
-  if (!valid.ok()) return valid.error();
-  std::lock_guard<std::mutex> lock(mu_);
-  TenantSources& src = tenants_[tenant];
-  src.system_policies.push_back(std::move(parsed).take());
-  src.system_texts.push_back(eacl_text);
-  // Positional default names deliberately restart per tenant: two tenants
-  // installing the same boilerplate text get the same (structure, name)
-  // pair and intern to ONE compiled object in the IrStore.
-  src.system_names.push_back(
-      name.empty() ? "system#" + std::to_string(src.system_policies.size() - 1)
-                   : name);
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishTenantLocked(tenant);
-  return util::VoidResult::Ok();
-}
-
-util::VoidResult PolicyStore::SetTenantLocalPolicy(const std::string& tenant,
-                                                   const std::string& dir_prefix,
-                                                   const std::string& eacl_text) {
-  if (tenant.empty()) return SetLocalPolicy(dir_prefix, eacl_text);
-  auto parsed = eacl::ParseEacl(eacl_text);
-  if (!parsed.ok()) return parsed.error();
-  auto valid = eacl::Validate(parsed.value());
-  if (!valid.ok()) return valid.error();
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
-  std::lock_guard<std::mutex> lock(mu_);
-  TenantSources& src = tenants_[tenant];
-  src.local_policies[key] = std::move(parsed).take();
-  src.local_texts[key] = eacl_text;
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishTenantLocked(tenant);
-  return util::VoidResult::Ok();
-}
-
-bool PolicyStore::RemoveTenantLocalPolicy(const std::string& tenant,
-                                          const std::string& dir_prefix) {
-  if (tenant.empty()) return RemoveLocalPolicy(dir_prefix);
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return false;
-  bool removed = it->second.local_policies.erase(key) > 0;
-  removed = it->second.local_texts.erase(key) > 0 || removed;
-  // Same unconditional-republish funnel as the global mutators.
-  version_.fetch_add(1);
-  tenant_version_.fetch_add(1, std::memory_order_release);
-  RepublishTenantLocked(tenant);
-  return removed;
+  return sources_.size() - 1;
 }
 
 std::vector<PolicyStore::TenantInfo> PolicyStore::TenantInfos() const {
-  std::shared_ptr<const TenantTable> table =
-      tenant_table_.load(std::memory_order_acquire);
+  std::shared_ptr<const Published> pub =
+      published_.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<TenantInfo> out;
-  out.reserve(tenants_.size());
-  for (const auto& [name, src] : tenants_) {
+  out.reserve(sources_.size() - 1);
+  for (auto it = std::next(sources_.begin()); it != sources_.end(); ++it) {
     TenantInfo info;
-    info.name = name;
-    info.system_policies = src.system_policies.size();
-    info.local_policies = src.local_policies.size();
-    if (table != nullptr) {
-      auto it = table->snapshots.find(name);
-      if (it != table->snapshots.end()) {
-        info.snapshot_version = it->second->store_version();
+    info.name = it->first;
+    info.system_policies = it->second.system.size();
+    info.local_policies = it->second.locals.size();
+    if (pub != nullptr) {
+      auto snap = pub->snapshots.find(it->first);
+      if (snap != pub->snapshots.end()) {
+        info.snapshot_version = snap->second->store_version();
       }
     }
     out.push_back(std::move(info));
   }
   return out;
-}
-
-eacl::ComposedPolicy PolicyStore::PoliciesForTenant(
-    std::string_view tenant, const std::string& object_path) const {
-  if (tenant.empty()) return PoliciesFor(object_path);
-  std::vector<eacl::Eacl> system_list;
-  std::vector<eacl::Eacl> local_list;
-  std::vector<std::string> system_names;
-  std::vector<std::string> local_names;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) {
-      // Unknown tenant: fall back to the default namespace (under the lock
-      // we cannot call PoliciesFor, so duplicate its parsed-mode gather).
-    }
-    const TenantSources* src = it == tenants_.end() ? nullptr : &it->second;
-    system_list = system_policies_;
-    system_names = system_names_;
-    if (src != nullptr) {
-      for (std::size_t i = 0; i < src->system_policies.size(); ++i) {
-        system_list.push_back(src->system_policies[i]);
-        system_names.push_back(src->system_names[i]);
-      }
-    }
-    for (const auto& dir : DirectoryChain(object_path)) {
-      // Tenant local shadows the global local at the same prefix.
-      if (src != nullptr) {
-        auto tl = src->local_policies.find(dir);
-        if (tl != src->local_policies.end()) {
-          local_list.push_back(tl->second);
-          local_names.push_back("local:" + tl->first);
-          continue;
-        }
-      }
-      auto gl = local_policies_.find(dir);
-      if (gl != local_policies_.end()) {
-        local_list.push_back(gl->second);
-        local_names.push_back("local:" + gl->first);
-      }
-    }
-  }
-  return eacl::Compose(std::move(system_list), std::move(local_list),
-                       std::move(system_names), std::move(local_names));
 }
 
 eacl::CompiledComposition PolicySnapshot::ForPath(
@@ -337,30 +248,50 @@ eacl::CompiledComposition PolicySnapshot::ForPath(
   return out;
 }
 
+const PolicySnapshot* PolicyStore::Published::Find(
+    std::string_view tenant) const {
+  if (tenant.empty()) return default_snapshot;
+  auto it = snapshots.find(tenant);
+  return it == snapshots.end() ? default_snapshot : it->second.get();
+}
+
 void PolicyStore::BindEngine(EngineBinding binding) {
   std::lock_guard<std::mutex> lock(mu_);
   binding_ = binding;
   ir_store_.AttachMetrics(binding.metrics);
-  RepublishAllLocked();
+  RepublishLocked(nullptr);
 }
 
-std::shared_ptr<const PolicySnapshot> PolicyStore::FreshSnapshot(
-    const ConditionRegistry* registry, std::uint64_t registry_version) {
+std::shared_ptr<const PolicySnapshot> PolicyStore::CurrentSnapshotFor(
+    std::string_view tenant) const {
+  std::shared_ptr<const Published> pub =
+      published_.load(std::memory_order_acquire);
+  if (pub == nullptr) return nullptr;
+  const PolicySnapshot* snap = pub->Find(tenant);
+  // Aliasing: the caller's one reference pins the whole published table.
+  return std::shared_ptr<const PolicySnapshot>(std::move(pub), snap);
+}
+
+std::shared_ptr<const PolicySnapshot> PolicyStore::FreshSnapshotFor(
+    std::string_view tenant, const ConditionRegistry* registry,
+    std::uint64_t registry_version) {
   if (parse_on_retrieve_.load(std::memory_order_relaxed)) return nullptr;
-  std::shared_ptr<const PolicySnapshot> snap =
-      snapshot_.load(std::memory_order_acquire);
-  if (snap != nullptr && snap->compiled_for() == registry &&
-      snap->registry_version() == registry_version &&
-      snap->source_version() ==
-          default_version_.load(std::memory_order_acquire)) {
+  std::shared_ptr<const Published> pub =
+      published_.load(std::memory_order_acquire);
+  if (pub != nullptr &&
+      pub->source_version == version_.load(std::memory_order_acquire)) {
     // Hot path: one atomic shared_ptr load plus one counter compare.  The
-    // source_version check is the staleness regression guard: a snapshot
-    // that lags its sources (a mutator that forgot to republish) is
-    // recompiled here instead of being served forever.
-    return snap;
+    // source_version check is the staleness regression guard: a table that
+    // lags its sources (a mutator that forgot to republish) is recompiled
+    // below instead of being served forever.
+    const PolicySnapshot* snap = pub->Find(tenant);
+    if (snap->compiled_for() == registry &&
+        snap->registry_version() == registry_version) {
+      return std::shared_ptr<const PolicySnapshot>(std::move(pub), snap);
+    }
   }
   // Cold path: routines were (un)registered since the last compile, the
-  // snapshot lags the sources, or another GaaApi rebound the store.
+  // table lags the sources, or another GaaApi rebound the store.
   // Recompile under the mutex.
   std::lock_guard<std::mutex> lock(mu_);
   if (binding_.registry != registry) {
@@ -369,71 +300,15 @@ std::shared_ptr<const PolicySnapshot> PolicyStore::FreshSnapshot(
     // wrong routines.  Fall back to the interpreter.
     return nullptr;
   }
-  snap = snapshot_.load(std::memory_order_acquire);
-  if (snap == nullptr ||
-      snap->registry_version() != binding_.registry->change_version() ||
-      snap->source_version() !=
-          default_version_.load(std::memory_order_acquire)) {
-    RepublishAllLocked();
-    snap = snapshot_.load(std::memory_order_acquire);
+  pub = published_.load(std::memory_order_acquire);
+  if (pub == nullptr || pub->source_version != version_.load() ||
+      pub->Find(tenant)->registry_version() !=
+          binding_.registry->change_version()) {
+    RepublishLocked(nullptr);
+    pub = published_.load(std::memory_order_acquire);
   }
-  return snap;
-}
-
-std::shared_ptr<const PolicySnapshot> PolicyStore::CurrentSnapshotFor(
-    std::string_view tenant) const {
-  if (!tenant.empty()) {
-    std::shared_ptr<const TenantTable> table =
-        tenant_table_.load(std::memory_order_acquire);
-    if (table != nullptr) {
-      auto it = table->snapshots.find(tenant);
-      if (it != table->snapshots.end()) return it->second;
-    }
-  }
-  return CurrentSnapshot();
-}
-
-std::shared_ptr<const PolicySnapshot> PolicyStore::FreshSnapshotFor(
-    std::string_view tenant, const ConditionRegistry* registry,
-    std::uint64_t registry_version) {
-  if (tenant.empty()) return FreshSnapshot(registry, registry_version);
-  if (parse_on_retrieve_.load(std::memory_order_relaxed)) return nullptr;
-  std::shared_ptr<const TenantTable> table =
-      tenant_table_.load(std::memory_order_acquire);
-  if (table != nullptr &&
-      table->source_version ==
-          tenant_version_.load(std::memory_order_acquire)) {
-    auto it = table->snapshots.find(tenant);
-    if (it == table->snapshots.end()) {
-      // Unknown tenant: governed by the default namespace.
-      return FreshSnapshot(registry, registry_version);
-    }
-    const auto& snap = it->second;
-    if (snap->compiled_for() == registry &&
-        snap->registry_version() == registry_version) {
-      return snap;  // hot path: two atomic loads, no lock
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (binding_.registry != registry) return nullptr;
-  table = tenant_table_.load(std::memory_order_acquire);
-  bool stale =
-      table == nullptr ||
-      table->source_version != tenant_version_.load(std::memory_order_acquire);
-  if (!stale) {
-    auto it = table->snapshots.find(tenant);
-    stale = it != table->snapshots.end() &&
-            it->second->registry_version() != binding_.registry->change_version();
-  }
-  if (stale) {
-    RepublishAllLocked();
-    table = tenant_table_.load(std::memory_order_acquire);
-  }
-  if (table != nullptr) {
-    auto it = table->snapshots.find(tenant);
-    if (it != table->snapshots.end()) return it->second;
-  }
-  return FreshSnapshot(registry, registry_version);
+  const PolicySnapshot* snap = pub->Find(tenant);
+  return std::shared_ptr<const PolicySnapshot>(std::move(pub), snap);
 }
 
 std::uint64_t PolicyStore::CompileEnvKeyLocked() const {
@@ -447,20 +322,17 @@ std::uint64_t PolicyStore::CompileEnvKeyLocked() const {
 }
 
 std::shared_ptr<const PolicySnapshot> PolicyStore::BuildSnapshotLocked(
-    const std::string& tenant_name, const TenantSources* tenant) {
+    const std::string& tenant) {
   auto snap = std::make_shared<PolicySnapshot>();
   snap->store_version_ = version_.load();
   snap->registry_version_ = binding_.registry->change_version();
-  snap->source_version_ =
-      tenant == nullptr ? default_version_.load(std::memory_order_acquire)
-                        : tenant_version_.load(std::memory_order_acquire);
   snap->compiled_for_ = binding_.registry;
-  snap->tenant_ = tenant_name;
+  snap->tenant_ = tenant;
 
   eacl::CompileEnv env{binding_.registry, binding_.metrics};
   const std::uint64_t env_key = CompileEnvKeyLocked();
-  auto intern = [&](const eacl::Eacl& policy, const std::string& name) {
-    return ir_store_.Intern(policy, name, env, env_key);
+  auto intern = [&](const PolicySource& src) {
+    return ir_store_.Intern(src.policy, src.name, env, env_key);
   };
 
   // Effective composition mode mirrors eacl::Compose: the first system
@@ -468,180 +340,97 @@ std::shared_ptr<const PolicySnapshot> PolicyStore::BuildSnapshotLocked(
   // evaluate after the globals, so globals also win the mode.
   snap->mode_ = eacl::CompositionMode::kNarrow;
   bool mode_set = false;
-  snap->system_.reserve(system_policies_.size() +
-                        (tenant != nullptr ? tenant->system_policies.size()
-                                           : 0));
-  for (std::size_t i = 0; i < system_policies_.size(); ++i) {
-    if (!mode_set && system_policies_[i].mode.has_value()) {
-      snap->mode_ = *system_policies_[i].mode;
-      mode_set = true;
-    }
-    snap->system_.push_back(intern(system_policies_[i], system_names_[i]));
-  }
-  for (const auto& [prefix, policy] : local_policies_) {
-    snap->locals_[prefix] = intern(policy, "local:" + prefix);
-  }
-  if (tenant != nullptr) {
-    for (std::size_t i = 0; i < tenant->system_policies.size(); ++i) {
-      if (!mode_set && tenant->system_policies[i].mode.has_value()) {
-        snap->mode_ = *tenant->system_policies[i].mode;
+  for (const NamespaceSources* layer : LayersLocked(tenant)) {
+    if (layer == nullptr) continue;
+    for (const PolicySource& src : layer->system) {
+      if (!mode_set && src.policy.mode.has_value()) {
+        snap->mode_ = *src.policy.mode;
         mode_set = true;
       }
-      snap->system_.push_back(
-          intern(tenant->system_policies[i], tenant->system_names[i]));
+      snap->system_.push_back(intern(src));
     }
     // Overlay: a tenant local replaces the global local at its prefix.
-    for (const auto& [prefix, policy] : tenant->local_policies) {
-      snap->locals_[prefix] = intern(policy, "local:" + prefix);
+    for (const auto& [prefix, src] : layer->locals) {
+      snap->locals_[prefix] = intern(src);
     }
   }
   return snap;
 }
 
-void PolicyStore::SwapTenantTableLocked(
-    const std::string& tenant, std::shared_ptr<const PolicySnapshot> snap) {
-  auto table = std::make_shared<TenantTable>();
-  std::shared_ptr<const TenantTable> prev =
-      tenant_table_.load(std::memory_order_acquire);
-  if (prev != nullptr) table->snapshots = prev->snapshots;
-  auto it = table->snapshots.find(tenant);
-  if (it != table->snapshots.end()) {
-    retired_.push_back(it->second);
-    table->snapshots.erase(it);
-  }
-  if (snap != nullptr) table->snapshots[tenant] = std::move(snap);
-  table->source_version = tenant_version_.load(std::memory_order_acquire);
-  tenant_table_.store(std::shared_ptr<const TenantTable>(std::move(table)),
-                      std::memory_order_release);
-  ReclaimRetiredLocked();
-}
-
-void PolicyStore::RepublishTenantLocked(const std::string& tenant) {
-  if (binding_.registry == nullptr) return;
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    SwapTenantTableLocked(tenant, nullptr);
-    return;
-  }
-  util::Stopwatch sw;
-  std::shared_ptr<const PolicySnapshot> snap =
-      BuildSnapshotLocked(tenant, &it->second);
-  if (binding_.metrics != nullptr) {
-    binding_.metrics->GetHistogram("gaa_policy_compile_us")
-        ->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
-  }
-  SwapTenantTableLocked(tenant, std::move(snap));
-}
-
-void PolicyStore::RepublishAllLocked() {
+void PolicyStore::RepublishLocked(const std::string* only) {
   if (binding_.registry == nullptr) return;
   util::Stopwatch sw;
-  std::shared_ptr<const PolicySnapshot> snap = BuildSnapshotLocked("", nullptr);
-
-  // Rebuild every tenant against the new global layer and publish the
-  // whole table as one object.  Shared fragments intern to the objects the
-  // default snapshot just created, so this is N pointer-sharing passes,
-  // not N compiles.
-  auto table = std::make_shared<TenantTable>();
-  for (const auto& [name, sources] : tenants_) {
-    table->snapshots[name] = BuildSnapshotLocked(name, &sources);
-  }
-  table->source_version = tenant_version_.load(std::memory_order_acquire);
-
-  if (binding_.metrics != nullptr) {
-    binding_.metrics->GetHistogram("gaa_policy_compile_us")
-        ->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
-    binding_.metrics->GetGauge("gaa_policy_snapshot_version")
-        ->Set(static_cast<std::int64_t>(snap->store_version_));
-    binding_.metrics->GetGauge("gaa_policy_snapshot_built_us")
-        ->Set(static_cast<std::int64_t>(sw.ElapsedUs()));
-    binding_.metrics->GetGauge("gaa_tenant_count")
-        ->Set(static_cast<std::int64_t>(tenants_.size()));
-  }
-
-  // Publish, retire the predecessors, reclaim quiescent retirees.  Readers
-  // that loaded an old snapshot before the swap hold their own reference;
-  // it is freed once the last of them releases it.
-  std::shared_ptr<const PolicySnapshot> prev = snapshot_.exchange(
-      std::shared_ptr<const PolicySnapshot>(snap), std::memory_order_acq_rel);
-  if (prev != nullptr) retired_.push_back(std::move(prev));
-  std::shared_ptr<const TenantTable> prev_table = tenant_table_.exchange(
-      std::shared_ptr<const TenantTable>(std::move(table)),
-      std::memory_order_acq_rel);
-  if (prev_table != nullptr) {
-    for (const auto& [name, old_snap] : prev_table->snapshots) {
-      retired_.push_back(old_snap);
+  std::shared_ptr<const Published> prev =
+      published_.load(std::memory_order_acquire);
+  auto next = std::make_shared<Published>();
+  bool built = false;
+  for (const auto& [name, sources] : sources_) {
+    std::shared_ptr<const PolicySnapshot> snap;
+    if (only != nullptr && name != *only && prev != nullptr) {
+      auto it = prev->snapshots.find(name);
+      if (it != prev->snapshots.end()) snap = it->second;
     }
-  }
-  ReclaimRetiredLocked();
-}
-
-void PolicyStore::ReclaimRetiredLocked() {
-  if (retired_.size() > retired_floor_) {
-    std::vector<std::shared_ptr<const PolicySnapshot>> kept;
-    kept.reserve(retired_.size());
-    for (std::size_t i = 0; i < retired_.size(); ++i) {
-      // Entries within the floor window (newest last) are kept regardless.
-      bool in_floor = i + retired_floor_ >= retired_.size();
-      // use_count()==1 means only retired_ itself holds the snapshot.  It
-      // left publication before entering this list (under this mutex), so
-      // no reader can acquire a new reference — the count only decreases
-      // and 1 is a stable "quiescent" reading.
-      if (in_floor || retired_[i].use_count() > 1) {
-        kept.push_back(std::move(retired_[i]));
-      }
+    if (snap == nullptr) {
+      // Shared fragments intern to the objects an earlier build created,
+      // so rebuilding N tenants is N pointer-sharing passes, not N
+      // compiles.
+      snap = BuildSnapshotLocked(name);
+      built = true;
     }
-    retired_.swap(kept);
+    next->snapshots.emplace_hint(next->snapshots.end(), name, std::move(snap));
   }
-  if (binding_.metrics != nullptr) {
-    binding_.metrics->GetGauge("gaa_policy_snapshots_retired")
-        ->Set(static_cast<std::int64_t>(retired_.size()));
+  next->default_snapshot = next->snapshots.begin()->second.get();
+  next->source_version = version_.load();
+
+  if (telemetry::MetricRegistry* metrics = binding_.metrics) {
+    if (built) {
+      metrics->GetHistogram("gaa_policy_compile_us")
+          ->Record(static_cast<std::uint64_t>(sw.ElapsedUs()));
+    }
+    if (only == nullptr) {
+      metrics->GetGauge("gaa_policy_snapshot_version")
+          ->Set(static_cast<std::int64_t>(
+              next->default_snapshot->store_version()));
+      metrics->GetGauge("gaa_policy_snapshot_built_us")
+          ->Set(static_cast<std::int64_t>(sw.ElapsedUs()));
+    }
+    metrics->GetGauge("gaa_tenant_count")
+        ->Set(static_cast<std::int64_t>(sources_.size() - 1));
   }
-}
 
-std::size_t PolicyStore::retired_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retired_.size();
-}
-
-void PolicyStore::set_retired_floor(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  retired_floor_ = n;
-  ReclaimRetiredLocked();
-}
-
-std::size_t PolicyStore::retired_floor() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retired_floor_;
+  // Readers that loaded the previous table hold their own reference; it
+  // and every snapshot only it holds are freed when the last one lets go.
+  published_.store(std::move(next), std::memory_order_release);
 }
 
 std::string PolicyStore::ExportSystemPolicies() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  for (std::size_t i = 0; i < system_policies_.size(); ++i) {
+  const auto& system = GlobalLocked().system;
+  for (std::size_t i = 0; i < system.size(); ++i) {
     if (i > 0) out += "\n";
-    out += eacl::PrintEacl(system_policies_[i]);
+    out += eacl::PrintEacl(system[i].policy);
   }
   return out;
 }
 
 std::optional<std::string> PolicyStore::ExportLocalPolicy(
     const std::string& dir_prefix) const {
-  std::string key = dir_prefix.empty() ? "/" : dir_prefix;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = local_policies_.find(key);
-  if (it == local_policies_.end()) return std::nullopt;
-  return eacl::PrintEacl(it->second);
+  const auto& locals = GlobalLocked().locals;
+  auto it = locals.find(PrefixKey(dir_prefix));
+  if (it == locals.end()) return std::nullopt;
+  return eacl::PrintEacl(it->second.policy);
 }
 
 std::size_t PolicyStore::system_policy_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return system_policies_.size();
+  return GlobalLocked().system.size();
 }
 
 std::size_t PolicyStore::local_policy_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return local_policies_.size();
+  return GlobalLocked().locals.size();
 }
 
 }  // namespace gaa::core

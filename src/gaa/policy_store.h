@@ -10,19 +10,26 @@
 // A monotonically increasing version number lets the decision memo detect
 // staleness after any policy change.
 //
+// Namespaces (DESIGN.md §14): the default namespace ("") is one row of the
+// store's namespace table, holding the global layer every namespace sees.
+// A tenant's row is its own layer on top: its system policies evaluate
+// after the globals, and its locals shadow a global local at the same
+// prefix.  The global entry points (AddSystemPolicy, SetLocalPolicy,
+// PoliciesFor, CurrentSnapshot, ...) forward to the tenant-scoped ones
+// with "".
+//
 // Compiled-engine publication (DESIGN.md §9): once an engine is bound via
-// BindEngine, every mutation also recompiles the full policy set into an
-// immutable PolicySnapshot and publishes it through one atomic pointer
-// swap (RCU-style).  Request threads read the current snapshot with a
-// single acquire-load — no lock, no copy — and a policy tightened during an
-// attack takes effect on the very next request.  Readers hold snapshots by
-// shared_ptr, so a superseded snapshot is reclaimed as soon as the last
-// reader releases it: the retired list keeps superseded snapshots only
-// until their use_count drops to the store's own reference (plus a small
-// configurable floor of the most recent ones), so policy churn no longer
-// grows memory without bound.
+// BindEngine, every mutation recompiles the namespaces it touches into
+// immutable PolicySnapshots and publishes every namespace's snapshot as
+// one immutable table through one atomic shared_ptr swap (RCU-style).
+// Request threads read their snapshot with a single acquire-load — no lock,
+// no copy — and a policy tightened during an attack takes effect on the
+// very next request.  Readers hold the published table by shared_ptr, so a
+// superseded snapshot is freed as soon as the last reader releases it;
+// nothing else retains it.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -72,11 +79,6 @@ class PolicySnapshot {
   /// Namespace this snapshot was built for ("" = default).
   const std::string& tenant() const { return tenant_; }
 
-  /// Value of the namespace's source-mutation counter at build time; the
-  /// store compares it against the live counter to detect a published
-  /// snapshot that lags its sources (the Clear()/Remove() staleness guard).
-  std::uint64_t source_version() const { return source_version_; }
-
   /// Assemble the per-path view: system policies plus the directory-chain
   /// locals.  Pure pointer gathering over immutable data — no locks.
   eacl::CompiledComposition ForPath(const std::string& object_path) const;
@@ -95,7 +97,6 @@ class PolicySnapshot {
 
   std::uint64_t store_version_ = 0;
   std::uint64_t registry_version_ = 0;
-  std::uint64_t source_version_ = 0;
   const ConditionRegistry* compiled_for_ = nullptr;
   std::string tenant_;
   eacl::CompositionMode mode_ = eacl::CompositionMode::kNarrow;
@@ -103,54 +104,61 @@ class PolicySnapshot {
   std::map<std::string, std::shared_ptr<const eacl::CompiledPolicy>> locals_;
 };
 
-/// The published tenant → snapshot table: itself one immutable RCU object,
-/// so a request thread resolves its namespace with a single acquire-load
-/// plus a map lookup over frozen data.  The default namespace is NOT in the
-/// table (it has its own dedicated atomic slot).
-struct TenantTable {
-  std::map<std::string, std::shared_ptr<const PolicySnapshot>, std::less<>>
-      snapshots;
-  /// Tenant-mutation counter value at publish (staleness guard).
-  std::uint64_t source_version = 0;
-};
-
 class PolicyStore {
  public:
-  /// Add a system-wide policy (parsed EACL text).  Multiple system-wide
-  /// policies conjoin at evaluation time.
-  util::VoidResult AddSystemPolicy(const std::string& eacl_text);
+  // --- policy sources --------------------------------------------------------
+  // Every mutator takes a namespace ("" = the default namespace's global
+  // layer, shared by every tenant), auto-creates a named tenant, bumps
+  // version() and republishes before returning.  The global forms forward
+  // with "".
 
-  /// Same, with an explicit provenance name reported by decision
-  /// attribution ("" = positional "system#<index>").  File-backed policies
-  /// are named by their path automatically.
+  /// Add a system-wide policy (parsed EACL text).  Multiple system-wide
+  /// policies conjoin at evaluation time; a tenant's evaluate after the
+  /// globals.  `name` is the provenance reported by decision attribution
+  /// ("" = positional "system#<index>", counted per namespace, so two
+  /// tenants installing the same boilerplate share one compiled object).
+  util::VoidResult AddTenantSystemPolicy(const std::string& tenant,
+                                         const std::string& eacl_text,
+                                         const std::string& name = "");
+  util::VoidResult AddSystemPolicy(const std::string& eacl_text) {
+    return AddTenantSystemPolicy("", eacl_text);
+  }
   util::VoidResult AddSystemPolicyNamed(const std::string& eacl_text,
-                                        const std::string& name);
+                                        const std::string& name) {
+    return AddTenantSystemPolicy("", eacl_text, name);
+  }
+
+  /// Attach a local policy to a directory prefix, e.g. "/" or "/cgi-bin".
+  /// Replaces any previous policy at the same prefix in that namespace
+  /// (like rewriting the directory's .htaccess); a tenant's local shadows
+  /// the global one at the same prefix.
+  util::VoidResult SetTenantLocalPolicy(const std::string& tenant,
+                                        const std::string& dir_prefix,
+                                        const std::string& eacl_text);
+  util::VoidResult SetLocalPolicy(const std::string& dir_prefix,
+                                  const std::string& eacl_text) {
+    return SetTenantLocalPolicy("", dir_prefix, eacl_text);
+  }
+
+  /// Remove the local policy at a prefix; returns true if one existed.
+  bool RemoveTenantLocalPolicy(const std::string& tenant,
+                               const std::string& dir_prefix);
+  bool RemoveLocalPolicy(const std::string& dir_prefix) {
+    return RemoveTenantLocalPolicy("", dir_prefix);
+  }
 
   /// File-backed variants (the paper's deployment keeps policies in
-  /// system and local policy files).
+  /// system and local policy files); named by their path.
   util::VoidResult AddSystemPolicyFile(const std::string& path);
   util::VoidResult SetLocalPolicyFile(const std::string& dir_prefix,
                                       const std::string& path);
-
-  /// Attach a local policy to a directory prefix, e.g. "/" or "/cgi-bin".
-  /// Replaces any previous policy at the same prefix (like rewriting the
-  /// directory's .htaccess).
-  util::VoidResult SetLocalPolicy(const std::string& dir_prefix,
-                                  const std::string& eacl_text);
-
-  /// Remove the local policy at a prefix; returns true if one existed.
-  bool RemoveLocalPolicy(const std::string& dir_prefix);
 
   /// Drop all policies — global and every tenant's (tests).
   void Clear();
 
   // --- tenant namespaces (DESIGN.md §14) -----------------------------------
-  // Every tenant sees the shared global policies (the system-wide set and
-  // the "/"-chain locals added through the methods above) plus its own
-  // layer: tenant system policies evaluate after the globals, tenant locals
-  // shadow a global local at the same directory prefix.  All tenant
-  // snapshots are compiled through the content-addressed IrStore, so the
-  // shared layer — and any tenant-local policy that is structurally
+  // All snapshots are compiled through the content-addressed IrStore, so
+  // the shared layer — and any tenant-local policy that is structurally
   // identical under the same provenance name — is one compiled object no
   // matter how many tenants reference it.
 
@@ -158,23 +166,12 @@ class PolicyStore {
   /// resolvable immediately with the purely-global policy view.
   util::VoidResult AddTenant(const std::string& tenant);
 
-  /// Remove a tenant and retire its snapshot; returns false if unknown.
+  /// Remove a tenant and unpublish its snapshot; returns false if unknown.
   bool RemoveTenant(const std::string& tenant);
 
   bool HasTenant(std::string_view tenant) const;
   std::vector<std::string> TenantNames() const;
   std::size_t tenant_count() const;
-
-  /// Tenant-scoped mutators; all auto-create the tenant (Set/Add) and
-  /// republish the tenant table atomically before returning.
-  util::VoidResult AddTenantSystemPolicy(const std::string& tenant,
-                                         const std::string& eacl_text,
-                                         const std::string& name = "");
-  util::VoidResult SetTenantLocalPolicy(const std::string& tenant,
-                                        const std::string& dir_prefix,
-                                        const std::string& eacl_text);
-  bool RemoveTenantLocalPolicy(const std::string& tenant,
-                               const std::string& dir_prefix);
 
   /// One row of the /__status/tenants view.
   struct TenantInfo {
@@ -188,61 +185,53 @@ class PolicyStore {
   /// The content-addressed compile cache (bench/status introspection).
   eacl::IrStore::Stats ir_store_stats() const { return ir_store_.stats(); }
 
-  /// Retrieve and compose the policies protecting `object_path`.
-  /// System-wide policies come first; local policies follow the directory
-  /// chain root→leaf (more-specific policies later, consistent with ordered
-  /// evaluation precedence of earlier == higher-priority policies).
-  eacl::ComposedPolicy PoliciesFor(const std::string& object_path) const;
-
-  /// Tenant-scoped variant for the interpreted engine: globals plus the
-  /// tenant's layer, same shadowing rules the compiled snapshot applies.
-  /// tenant == "" (or unknown) degrades to PoliciesFor.
+  /// Retrieve and compose the policies protecting `object_path` in a
+  /// namespace, for the interpreted engine.  System-wide policies come
+  /// first (globals, then the tenant's); local policies follow the
+  /// directory chain root→leaf (more-specific policies later, consistent
+  /// with ordered evaluation precedence of earlier == higher-priority
+  /// policies).  An unknown tenant sees the global layer alone.
   eacl::ComposedPolicy PoliciesForTenant(std::string_view tenant,
                                          const std::string& object_path) const;
+  eacl::ComposedPolicy PoliciesFor(const std::string& object_path) const {
+    return PoliciesForTenant("", object_path);
+  }
 
-  /// Version counter bumped by every mutation; used for cache invalidation.
+  /// Version counter bumped by every mutation; used for cache invalidation
+  /// and as the staleness guard of the published table.
   std::uint64_t version() const { return version_.load(); }
 
   // --- compiled snapshot publication (DESIGN.md §9) -------------------------
 
-  /// Bind the compiler inputs and publish the first snapshot.  Called by
+  /// Bind the compiler inputs and publish the first snapshots.  Called by
   /// GaaApi construction; harmless to rebind (last bind wins).
   void BindEngine(EngineBinding binding);
 
-  /// The currently published snapshot — one atomic shared_ptr load, no
-  /// lock.  Null before BindEngine.  Holding the returned shared_ptr pins
-  /// the snapshot; release it promptly (per-request scope) so superseded
-  /// snapshots can be reclaimed.
+  /// A namespace's currently published snapshot — one atomic shared_ptr
+  /// load, no lock.  Null before BindEngine.  An unknown (or empty) tenant
+  /// resolves to the default namespace — the unknown-host request is then
+  /// governed by the global policy set, never left unpoliced.  Holding the
+  /// returned shared_ptr pins the published table it came from; release it
+  /// promptly (per-request scope) so superseded snapshots are freed.
+  std::shared_ptr<const PolicySnapshot> CurrentSnapshotFor(
+      std::string_view tenant) const;
   std::shared_ptr<const PolicySnapshot> CurrentSnapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+    return CurrentSnapshotFor("");
   }
 
   /// Hot-path accessor: the published snapshot, recompiled first (cold,
   /// mutex-guarded) when `registry_version` says routines were registered
-  /// after the last compile.  Returns null — caller falls back to the
-  /// interpreter — when the engine is bound to a different registry or the
-  /// store is in parse-on-retrieve (ablation) mode.
-  std::shared_ptr<const PolicySnapshot> FreshSnapshot(
-      const ConditionRegistry* registry, std::uint64_t registry_version);
-
-  /// Tenant-scoped twins.  An unknown (or empty) tenant falls back to the
-  /// default namespace — the unknown-host request is then governed by the
-  /// global policy set, never left unpoliced.
-  std::shared_ptr<const PolicySnapshot> CurrentSnapshotFor(
-      std::string_view tenant) const;
+  /// after the last compile or the table lags the sources.  Returns null —
+  /// caller falls back to the interpreter — when the engine is bound to a
+  /// different registry or the store is in parse-on-retrieve (ablation)
+  /// mode.
   std::shared_ptr<const PolicySnapshot> FreshSnapshotFor(
       std::string_view tenant, const ConditionRegistry* registry,
       std::uint64_t registry_version);
-
-  /// Superseded snapshots not yet reclaimed (gauge mirror:
-  /// `gaa_policy_snapshots_retired`).
-  std::size_t retired_count() const;
-
-  /// Keep at least the `n` most recently superseded snapshots alive even
-  /// when unreferenced (debugging headroom; default 2).  Older entries are
-  /// reclaimed as soon as no reader holds them.
-  void set_retired_floor(std::size_t n);
-  std::size_t retired_floor() const;
+  std::shared_ptr<const PolicySnapshot> FreshSnapshot(
+      const ConditionRegistry* registry, std::uint64_t registry_version) {
+    return FreshSnapshotFor("", registry, registry_version);
+  }
 
   /// When enabled, PoliciesFor re-parses the stored policy *text* on every
   /// retrieval instead of returning the pre-parsed form.  This models the
@@ -254,56 +243,72 @@ class PolicyStore {
   void SetParseOnRetrieve(bool enabled) { parse_on_retrieve_ = enabled; }
   bool parse_on_retrieve() const { return parse_on_retrieve_; }
 
+  /// The global layer's policy counts.
   std::size_t system_policy_count() const;
   std::size_t local_policy_count() const;
 
   /// Split "/a/b/c.html" into its directory chain: "/", "/a", "/a/b".
   static std::vector<std::string> DirectoryChain(const std::string& object_path);
 
-  /// Render the current policy set back to EACL text (policy-officer
+  /// Render the global policy set back to EACL text (policy-officer
   /// export; round-trips through the parser).
   std::string ExportSystemPolicies() const;
   std::optional<std::string> ExportLocalPolicy(
       const std::string& dir_prefix) const;
 
  private:
-  /// One tenant's own policy layer (sources; compiled forms live in the
-  /// published snapshots).
-  struct TenantSources {
-    std::vector<eacl::Eacl> system_policies;
-    std::vector<std::string> system_texts;
-    std::vector<std::string> system_names;
-    std::map<std::string, eacl::Eacl> local_policies;
-    std::map<std::string, std::string> local_texts;
+  /// One stored policy: the pre-parsed form, the text parse-on-retrieve
+  /// re-reads, and the provenance name ("system#0", a path, "local:/x").
+  struct PolicySource {
+    eacl::Eacl policy;
+    std::string text;
+    std::string name;
   };
 
+  /// One namespace's own policy layer (compiled forms live in the
+  /// published snapshots).
+  struct NamespaceSources {
+    std::vector<PolicySource> system;
+    std::map<std::string, PolicySource> locals;  // by directory prefix
+  };
+
+  /// Every namespace's snapshot, published as one immutable object.
+  struct Published {
+    /// Keyed by namespace; the default namespace is the "" row.
+    std::map<std::string, std::shared_ptr<const PolicySnapshot>, std::less<>>
+        snapshots;
+    /// The "" row, so a default-namespace read needs no map lookup.
+    const PolicySnapshot* default_snapshot = nullptr;
+    /// version_ at publish: the staleness guard FreshSnapshotFor checks.
+    std::uint64_t source_version = 0;
+
+    /// The namespace's snapshot; unknown tenants get the default one.
+    const PolicySnapshot* Find(std::string_view tenant) const;
+  };
+
+  /// The default namespace's row, which "" keeps first in `sources_`.
+  const NamespaceSources& GlobalLocked() const {
+    return sources_.begin()->second;
+  }
+
+  /// The layers a namespace sees, in evaluation order: the global row,
+  /// then the tenant's own row (null for "" or an unknown tenant).
+  std::array<const NamespaceSources*, 2> LayersLocked(
+      std::string_view tenant) const;
+
   /// Compile one namespace's snapshot through the IrStore; `mu_` held.
-  /// `tenant` null builds the default (globals-only) snapshot.
   std::shared_ptr<const PolicySnapshot> BuildSnapshotLocked(
-      const std::string& tenant_name, const TenantSources* tenant);
+      const std::string& tenant);
 
-  /// Single republication funnel (the Clear()/RemoveLocalPolicy staleness
-  /// fix rides on every mutator ending here): rebuild the default snapshot
-  /// AND every tenant snapshot (a global mutation changes what all of them
-  /// see), publish both atomic slots, retire predecessors; `mu_` held.
-  /// A no-op until an engine is bound.
-  void RepublishAllLocked();
+  /// The one republication funnel, `mu_` held; a no-op until an engine is
+  /// bound.  Rebuilds every namespace (`only` null: a global change moves
+  /// what all of them see) or just `*only`, keeping every other
+  /// namespace's snapshot object — and so its memos — and publishes the
+  /// new table.
+  void RepublishLocked(const std::string* only);
 
-  /// Rebuild and republish exactly one tenant's snapshot (tenant-scoped
-  /// mutation: nobody else's snapshot — or memos — move); `mu_` held.
-  void RepublishTenantLocked(const std::string& tenant);
-
-  /// Publish a new tenant table derived from the current one by replacing
-  /// (or erasing, when `snap` is null) one tenant's entry; `mu_` held.
-  void SwapTenantTableLocked(
-      const std::string& tenant,
-      std::shared_ptr<const PolicySnapshot> snap);
-
-  /// Drop retired snapshots whose use_count fell to the store's own
-  /// reference, keeping the `retired_floor_` newest; `mu_` must be held.
-  /// Safe because snapshots enter retired_ only after they stop being the
-  /// published one, so their reference count can only decrease.
-  void ReclaimRetiredLocked();
+  /// Bump version() and republish after a mutation of namespace `tenant`.
+  void CommitLocked(const std::string& tenant);
 
   /// The compile-environment identity fed to IrStore::Intern: mixes the
   /// registry pointer + change version and the metrics registry, so a
@@ -311,33 +316,19 @@ class PolicyStore {
   std::uint64_t CompileEnvKeyLocked() const;
 
   mutable std::mutex mu_;
-  std::vector<eacl::Eacl> system_policies_;
-  std::vector<std::string> system_texts_;
-  std::vector<std::string> system_names_;  // parallel provenance names
-  std::map<std::string, eacl::Eacl> local_policies_;   // prefix -> policy
-  std::map<std::string, std::string> local_texts_;     // prefix -> text
-  std::map<std::string, TenantSources, std::less<>> tenants_;  // under mu_
+  /// Namespace → its own layer; the "" row (the global layer) always
+  /// exists.  Guarded by mu_.
+  std::map<std::string, NamespaceSources, std::less<>> sources_{
+      {"", NamespaceSources{}}};
   std::atomic<std::uint64_t> version_{0};
-  /// Bumped only by mutations visible to the default namespace (global
-  /// system/local changes, Clear): the staleness fence FreshSnapshot checks
-  /// against the published snapshot.  Tenant-scoped mutations leave it
-  /// alone so they cannot perturb default-namespace memo fencing.
-  std::atomic<std::uint64_t> default_version_{0};
-  /// Bumped by any tenant-layer mutation; fences the tenant table.
-  std::atomic<std::uint64_t> tenant_version_{0};
   std::atomic<bool> parse_on_retrieve_{false};
 
   EngineBinding binding_;  // guarded by mu_
   /// Content-addressed compile cache shared by every namespace's builds.
   eacl::IrStore ir_store_;
-  /// Published snapshot.  Readers load a shared_ptr (lock-free publication,
-  /// reference-counted reclamation); superseded snapshots move to
-  /// `retired_` until quiescent.
-  std::atomic<std::shared_ptr<const PolicySnapshot>> snapshot_;
-  /// Published tenant table (never null once an engine is bound).
-  std::atomic<std::shared_ptr<const TenantTable>> tenant_table_;
-  std::vector<std::shared_ptr<const PolicySnapshot>> retired_;  // under mu_
-  std::size_t retired_floor_ = 2;                               // under mu_
+  /// The published table (null before BindEngine).  Readers load a
+  /// shared_ptr: lock-free publication, reference-counted reclamation.
+  std::atomic<std::shared_ptr<const Published>> published_;
 };
 
 }  // namespace gaa::core

@@ -38,11 +38,6 @@ TEST(DecisionCacheUnit, VersionFencesStaleAnswers) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(DecisionCacheUnit, ZeroSlotsDisables) {
-  DecisionCache cache(0);
-  EXPECT_EQ(cache.capacity(), 0u);
-}
-
 struct Stack {
   Stack() : api(&store, rig.services) {
     RoutineCatalog catalog;

@@ -131,15 +131,17 @@ TEST(PolicyStore, TenantMutationLeavesOtherTenantSnapshotsUntouched) {
   ASSERT_TRUE(store.AddTenant("b").ok());
   auto a0 = store.CurrentSnapshotFor("a");
   auto b0 = store.CurrentSnapshotFor("b");
+  auto d0 = store.CurrentSnapshot();
   ASSERT_TRUE(
       store.SetTenantLocalPolicy("a", "/", "pos_access_right x y\n").ok());
   auto a1 = store.CurrentSnapshotFor("a");
   auto b1 = store.CurrentSnapshotFor("b");
   EXPECT_NE(a1.get(), a0.get());
   ASSERT_EQ(a1->locals().size(), 1u);
-  // Tenant b's snapshot object is reused verbatim — a's reload compiled and
-  // published only a's namespace.
+  // Tenant b's and the default namespace's snapshot objects are reused
+  // verbatim — a's reload compiled and published only a's namespace.
   EXPECT_EQ(b1.get(), b0.get());
+  EXPECT_EQ(store.CurrentSnapshot().get(), d0.get());
 }
 
 TEST(PolicyStore, StopModeDropsLocalAtComposition) {

@@ -1,12 +1,13 @@
-// Retired-snapshot retention bounds (DESIGN.md §9.3): superseded policy
-// snapshots are reclaimed once quiescent (use_count()==1), keeping only the
-// `retired_floor` newest for debugging headroom — the retired list must not
-// grow without bound under policy churn, and reclamation must never free a
-// snapshot a concurrent reader still holds (gaa_engine_test runs under
-// ThreadSanitizer in CI, where a use-after-reclaim is a hard failure).
+// Snapshot lifetime under churn (DESIGN.md §9.3): a superseded policy
+// snapshot lives exactly as long as some reader's shared_ptr holds it.  It
+// must never be freed while a concurrent reader still uses it
+// (gaa_engine_test runs under ThreadSanitizer and ASan in CI, where a
+// use-after-free is a hard failure), and it must be freed once the last
+// reader lets go (growth_law_test holds the heap law).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +43,7 @@ struct ChurnStack {
   GaaApi api;
 };
 
-TEST(SnapshotChurn, RetiredListStaysBoundedUnderConcurrentReaders) {
+TEST(SnapshotChurn, SupersededSnapshotIsFreedOnceReadersJoin) {
   ChurnStack s;
   ASSERT_TRUE(s.store.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
 
@@ -68,15 +69,14 @@ TEST(SnapshotChurn, RetiredListStaysBoundedUnderConcurrentReaders) {
     });
   }
 
-  // Each reader holds at most one snapshot reference at a time, so the
-  // retired list can never exceed floor + one pinned entry per reader
-  // (plus slack for entries between retire and the next reclaim pass).
-  const std::size_t bound = s.store.retired_floor() + kReaders + 2;
+  // Watch the snapshot the first reload publishes; every later reload
+  // supersedes it while the readers keep authorizing.
+  std::weak_ptr<const PolicySnapshot> superseded;
   for (int i = 0; i < kReloads; ++i) {
     const char* text = (i % 2 == 0) ? "neg_access_right apache *\n"
                                     : "pos_access_right apache *\n";
     ASSERT_TRUE(s.store.SetLocalPolicy("/", text).ok());
-    EXPECT_LE(s.store.retired_count(), bound) << "reload " << i;
+    if (i == 0) superseded = s.store.CurrentSnapshot();
   }
 
   while (decisions.load(std::memory_order_relaxed) <
@@ -87,32 +87,9 @@ TEST(SnapshotChurn, RetiredListStaysBoundedUnderConcurrentReaders) {
   for (auto& t : readers) t.join();
   EXPECT_GE(decisions.load(), static_cast<std::uint64_t>(kReaders));
 
-  // With all readers gone, every retiree is quiescent: the next rebuild
-  // reclaims down to the floor.
-  ASSERT_TRUE(s.store.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
-  EXPECT_LE(s.store.retired_count(), s.store.retired_floor());
-}
-
-TEST(SnapshotChurn, QuiescentReclamationKeepsExactlyTheFloor) {
-  ChurnStack s;
-  s.store.set_retired_floor(5);
-  for (int i = 0; i < 10; ++i) {
-    const char* text = (i % 2 == 0) ? "neg_access_right apache *\n"
-                                    : "pos_access_right apache *\n";
-    ASSERT_TRUE(s.store.SetLocalPolicy("/", text).ok());
-  }
-  // No readers: everything beyond the floor was quiescent and reclaimed.
-  EXPECT_EQ(s.store.retired_count(), 5u);
-  // The gauge mirrors the list (rig.services.metrics wires the registry).
-  EXPECT_EQ(s.metrics.GetGauge("gaa_policy_snapshots_retired")->Value(), 5);
-
-  // Dropping the floor reclaims immediately, not at the next rebuild.
-  s.store.set_retired_floor(0);
-  EXPECT_EQ(s.store.retired_count(), 0u);
-  EXPECT_EQ(s.metrics.GetGauge("gaa_policy_snapshots_retired")->Value(), 0);
-
-  ASSERT_TRUE(s.store.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
-  EXPECT_EQ(s.store.retired_count(), 0u);
+  // No reader holds it any more, and nothing else may.
+  EXPECT_TRUE(superseded.expired());
+  EXPECT_FALSE(s.store.CurrentSnapshot()->locals().empty());
 }
 
 }  // namespace

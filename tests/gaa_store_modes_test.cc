@@ -22,27 +22,33 @@ TEST(ParseOnRetrieve, SameDecisionsAsPreParsed) {
       "neg_access_right apache GET\npre_cond_sym local t\n"
       "pos_access_right apache *\n";
 
-  for (bool parse_on_retrieve : {false, true}) {
-    TestRig rig;
-    PolicyStore store;
-    store.SetParseOnRetrieve(parse_on_retrieve);
-    ASSERT_TRUE(store.AddSystemPolicy(system_text).ok());
-    ASSERT_TRUE(store.SetLocalPolicy("/", local_text).ok());
-    GaaApi api(&store, rig.services);
-    api.registry().Register(
-        "pre_cond_sym", "*",
-        [](const eacl::Condition& cond, const RequestContext&,
-           EvalServices&) {
-          return cond.value == "t" ? EvalOutcome::Yes() : EvalOutcome::No();
-        });
-    auto ctx = MakeContext();
-    EXPECT_EQ(api.Authorize("/x", {"apache", "GET"}, ctx).status,
-              Tristate::kNo)
-        << "parse_on_retrieve=" << parse_on_retrieve;
-    ctx = MakeContext();
-    EXPECT_EQ(api.Authorize("/x", {"apache", "POST"}, ctx).status,
-              Tristate::kYes)
-        << "parse_on_retrieve=" << parse_on_retrieve;
+  // "" installs the policies in the default namespace; "acme" installs
+  // them as a tenant's own layer over an empty global one.
+  for (std::string tenant : {"", "acme"}) {
+    for (bool parse_on_retrieve : {false, true}) {
+      TestRig rig;
+      PolicyStore store;
+      store.SetParseOnRetrieve(parse_on_retrieve);
+      ASSERT_TRUE(store.AddTenantSystemPolicy(tenant, system_text).ok());
+      ASSERT_TRUE(store.SetTenantLocalPolicy(tenant, "/", local_text).ok());
+      GaaApi api(&store, rig.services);
+      api.registry().Register(
+          "pre_cond_sym", "*",
+          [](const eacl::Condition& cond, const RequestContext&,
+             EvalServices&) {
+            return cond.value == "t" ? EvalOutcome::Yes() : EvalOutcome::No();
+          });
+      auto ctx = MakeContext();
+      ctx.tenant = tenant;
+      EXPECT_EQ(api.Authorize("/x", {"apache", "GET"}, ctx).status,
+                Tristate::kNo)
+          << "tenant=" << tenant << " parse_on_retrieve=" << parse_on_retrieve;
+      ctx = MakeContext();
+      ctx.tenant = tenant;
+      EXPECT_EQ(api.Authorize("/x", {"apache", "POST"}, ctx).status,
+                Tristate::kYes)
+          << "tenant=" << tenant << " parse_on_retrieve=" << parse_on_retrieve;
+    }
   }
 }
 

@@ -2,11 +2,12 @@
 // thread adds, reloads and removes tenant namespaces while reader threads
 // authorize against two stable tenants with opposite policies; run under
 // TSan in CI.  The invariants: a reader never observes the wrong tenant's
-// answer (no cross-tenant memo bleed), and retired-snapshot retention stays
-// bounded once readers quiesce.
+// answer (no cross-tenant memo bleed), and every snapshot the churn
+// superseded is freed once the readers let go.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +50,9 @@ TEST(TenantChurn, ConcurrentAddReloadRemoveKeepsNamespacesIsolated) {
   constexpr int kMutations = 400;
   std::atomic<bool> done{false};
   std::atomic<int> wrong{0};
+  // One watch per mutation on the snapshot it published for its tenant.
+  std::vector<std::weak_ptr<const PolicySnapshot>> published;
+  published.reserve(kMutations);
 
   std::thread mutator([&] {
     for (int i = 0; i < kMutations; ++i) {
@@ -67,6 +71,7 @@ TEST(TenantChurn, ConcurrentAddReloadRemoveKeepsNamespacesIsolated) {
           (void)s.store.RemoveTenant(name);
           break;
       }
+      published.push_back(s.store.CurrentSnapshotFor(name));
     }
     done.store(true, std::memory_order_release);
   });
@@ -103,13 +108,13 @@ TEST(TenantChurn, ConcurrentAddReloadRemoveKeepsNamespacesIsolated) {
 
   EXPECT_EQ(wrong.load(), 0);
 
-  // Readers released every snapshot they pinned; after a quiescent global
-  // mutation the retired list is bounded by the live namespace count (that
-  // mutation's own retirees) plus the keep-floor — it must not scale with
-  // the 400 mutations of churn above.
+  // Readers released every snapshot they pinned; a quiescent global
+  // mutation supersedes every namespace, so nothing the churn published
+  // may outlive it.
   ASSERT_TRUE(s.store.SetLocalPolicy("/scratch", kGrant).ok());
-  EXPECT_LE(s.store.retired_count(),
-            s.store.retired_floor() + s.store.tenant_count() + 1);
+  for (std::size_t i = 0; i < published.size(); ++i) {
+    EXPECT_TRUE(published[i].expired()) << "mutation " << i;
+  }
 
   // The stable namespaces survived the churn with their layers intact.
   EXPECT_TRUE(s.store.HasTenant("allow"));

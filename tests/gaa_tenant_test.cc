@@ -393,6 +393,10 @@ TEST(TenantRouting, HostVariantsDocRootsAndStatusView) {
             std::string_view::npos);
   EXPECT_NE(status.BodyView().find("\"ir_store\""), std::string_view::npos);
   EXPECT_NE(status.BodyView().find("\"routes\":1"), std::string_view::npos);
+  // The tenant was added after the last global mutation; the gauge still
+  // counts it.
+  EXPECT_EQ(
+      server.telemetry().registry().GetGauge("gaa_tenant_count")->Value(), 1);
 }
 
 TEST(TenantRouting, PerTenantRequestCounterIsLabeled) {

@@ -150,6 +150,24 @@ TEST(GrowthLaw, RegistrySeriesAreLinear) {
   EXPECT_LE(large_per, 1.5 * small_per);
 }
 
+/// A GaaApi with the builtin routines over its own store.
+struct ApiStack {
+  explicit ApiStack(telemetry::MetricRegistry* metrics = nullptr)
+      : api(&store, [&] {
+          core::EvalServices services = rig.services;
+          services.metrics = metrics;
+          return services;
+        }()) {
+    core::RoutineCatalog catalog;
+    cond::RegisterBuiltinRoutines(catalog);
+    EXPECT_TRUE(api.Initialize(catalog, cond::DefaultConfigText(), "").ok());
+  }
+
+  testing::TestRig rig;
+  core::PolicyStore store;
+  core::GaaApi api;
+};
+
 struct MemoGrowth {
   double bytes_per_slot = 0;
   std::size_t slots = 0;
@@ -161,12 +179,9 @@ struct MemoGrowth {
 /// one memo slot, then repeat one request as a warm hit.
 MemoGrowth FillMemo(int deny) {
   constexpr int kClients = 256;
-  testing::TestRig rig;
-  core::PolicyStore store;
-  core::GaaApi api(&store, rig.services);
-  core::RoutineCatalog catalog;
-  cond::RegisterBuiltinRoutines(catalog);
-  EXPECT_TRUE(api.Initialize(catalog, cond::DefaultConfigText(), "").ok());
+  ApiStack stack;
+  core::PolicyStore& store = stack.store;
+  core::GaaApi& api = stack.api;
   EXPECT_TRUE(store.AddSystemPolicy(DenyListText(deny)).ok());
   const core::RequestedRight right{"apache", "GET"};
   auto authorize = [&](int client) {
@@ -208,6 +223,81 @@ TEST(GrowthLaw, MemoSlotIsConstantInPolicySize) {
   EXPECT_EQ(small.slots, large.slots);
   EXPECT_LE(large.bytes_per_slot, 1.25 * small.bytes_per_slot);
   EXPECT_EQ(small.hit_allocations, large.hit_allocations);
+}
+
+/// A ten-entry host screen whose addresses are unique to `reload`, so every
+/// reload compiles fresh IR that a retained snapshot would pin.  Fixed
+/// width, so every text is the same size.
+std::string ReloadText(int reload) {
+  std::string text;
+  for (int i = 0; i < 10; ++i) {
+    text += "neg_access_right * *\npre_cond_accessid HOST local 10." +
+            std::to_string(100 + i) + "." + std::to_string(100 + reload / 100) +
+            "." + std::to_string(100 + reload % 100) + "\n";
+  }
+  return text + "pos_access_right * *\n";
+}
+
+TEST(GrowthLaw, GlobalReloadsKeepTheHeapConstant) {
+  constexpr int kReloads = 30;
+  telemetry::MetricRegistry metrics;
+  ApiStack stack(&metrics);
+  const core::RequestedRight right{"apache", "GET"};
+  int reload = 0;
+  auto reload_and_read = [&](int count) {
+    for (int i = 0; i < count; ++i, ++reload) {
+      ASSERT_TRUE(stack.store.SetLocalPolicy("/", ReloadText(reload)).ok());
+      core::RequestContext ctx = testing::MakeContext();
+      EXPECT_EQ(stack.api.Authorize(ctx.object, right, ctx).status,
+                util::Tristate::kYes);
+    }
+  };
+
+  reload_and_read(2);  // warm-up: series, memo slot, IR store table
+  const std::int64_t baseline = g_live_bytes.load();
+  reload_and_read(kReloads);
+  const std::int64_t after_n = g_live_bytes.load() - baseline;
+  reload_and_read(9 * kReloads);
+  const std::int64_t after_10n = g_live_bytes.load() - baseline;
+  std::cout << "heap growth over " << kReloads << " reloads: " << after_n
+            << " bytes, over " << 10 * kReloads << ": " << after_10n << "\n";
+  // Constant: the 9N extra reloads add less than one superseded snapshot
+  // with its compiled IR (tens of KB for this policy) would pin.
+  EXPECT_LE(after_10n - after_n, 1024);
+}
+
+TEST(GrowthLaw, RemovedTenantsReturnTheHeapToBaseline) {
+  constexpr int kTenants = 64;
+  telemetry::MetricRegistry metrics;
+  ApiStack stack(&metrics);
+  int global_reload = 0;
+  auto add_and_remove = [&](int count) {
+    for (int t = 0; t < count; ++t) {
+      const std::string tenant = "tenant" + std::to_string(t);
+      ASSERT_TRUE(
+          stack.store.SetTenantLocalPolicy(tenant, "/", ReloadText(t)).ok());
+      ASSERT_NE(stack.store.CurrentSnapshotFor(tenant), nullptr);
+    }
+    for (int t = 0; t < count; ++t) {
+      EXPECT_TRUE(stack.store.RemoveTenant("tenant" + std::to_string(t)));
+    }
+    // A global reload compiles, and every compile sweeps the IR store's
+    // dead slots: the removed tenants' IR leaves no table entry behind.
+    ASSERT_TRUE(stack.store
+                    .SetLocalPolicy("/", ReloadText(1000 + global_reload++))
+                    .ok());
+  };
+
+  // Warm-up: one full round creates the tenant-local series and sizes the
+  // hash tables for kTenants live namespaces (bucket arrays never shrink).
+  add_and_remove(kTenants);
+  const std::int64_t baseline = g_live_bytes.load();
+  add_and_remove(kTenants);
+  const std::int64_t residue = g_live_bytes.load() - baseline;
+  std::cout << "heap residue after adding and removing " << kTenants
+            << " tenants: " << residue << " bytes\n";
+  EXPECT_EQ(stack.store.tenant_count(), 0u);
+  EXPECT_LE(residue, 1024);
 }
 
 }  // namespace
