@@ -80,6 +80,21 @@ inline Stats Summarize(std::vector<double> samples_ms) {
   return s;
 }
 
+/// Reports of `kind` that `server`'s IDS counted in
+/// `ids_reports_total{kind=...}`; reads the registry's list, so it creates
+/// no series.
+inline std::size_t IdsReportCount(web::GaaWebServer& server,
+                                  core::ReportKind kind) {
+  const std::string labels =
+      std::string("kind=\"") + core::ReportKindName(kind) + "\"";
+  for (const auto& e : server.telemetry().registry().List()) {
+    if (e.name == "ids_reports_total" && e.labels == labels) {
+      return static_cast<std::size_t>(e.counter->Value());
+    }
+  }
+  return 0;
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }

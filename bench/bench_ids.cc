@@ -18,7 +18,13 @@
 // populations both slow and memory-proportional — the very thing the
 // sketches exist to avoid).
 //
+// The report path (IntrusionDetectionSystem::Report, the threat window
+// behind it) is measured at 10k and 1M in-window alerts: the larger may
+// cost at most 1.2x the smaller, since an alert lands in a fixed ring of
+// time buckets whatever the window holds.
+//
 //   bench_ids [--requests N] [--repeats R] [--max-ratio X] [--json out.json]
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -28,7 +34,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "gaa/system_state.h"
 #include "ids/anomaly.h"
+#include "ids/ids.h"
 #include "ids/sketch/stream_ids.h"
 #include "util/rng.h"
 
@@ -117,6 +125,49 @@ double RunExactReference(std::uint64_t cardinality, std::uint64_t requests,
   return best;
 }
 
+/// ns per IntrusionDetectionSystem::Report over `kTimed` reports filed
+/// once `in_window` alerts are in the threat window.  Every report comes
+/// from a distinct source, 50 µs after the last on a simulated clock, so
+/// 1M alerts span 50 s of the default 60 s window; the level reaches high
+/// within the first reports and stays there.
+double TimeReportPath(std::uint64_t in_window) {
+  constexpr std::uint64_t kTimed = 10'000;
+  util::SimulatedClock clock(0);
+  core::SystemState state(&clock);
+  telemetry::MetricRegistry metrics;
+  ids::IntrusionDetectionSystem ids(&state, &clock);
+  ids.AttachMetrics(&metrics);
+  core::IdsReport report;
+  report.kind = core::ReportKind::kDetectedAttack;
+  report.object = "/cgi-bin/phf";
+  report.attack_type = "cgi_exploit";
+  report.severity = 8;
+  report.confidence = 1.0;
+  char source[24];
+  auto file = [&](std::uint64_t from, std::uint64_t count) {
+    for (std::uint64_t i = from; i < from + count; ++i) {
+      std::snprintf(source, sizeof(source), "10.%u.%u.%u",
+                    static_cast<unsigned>(i >> 16 & 255),
+                    static_cast<unsigned>(i >> 8 & 255),
+                    static_cast<unsigned>(i & 255));
+      report.source_ip = source;
+      clock.Advance(50);
+      ids.Report(report);
+    }
+  };
+  file(0, in_window);
+  auto t0 = std::chrono::steady_clock::now();
+  file(in_window, kTimed);
+  auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(kTimed);
+}
+
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 int Main(int argc, char** argv) {
   std::uint64_t requests = 2'000'000;
   int repeats = 3;
@@ -171,6 +222,27 @@ int Main(int argc, char** argv) {
                "ns_per_request", ns);
   }
 
+  // Report path: cost per report at a small and a large threat window.
+  constexpr double kMaxReportRatio = 1.2;
+  std::printf("\n%-14s %14s\n", "in-window", "ns/report");
+  // Five repetitions of each, alternating, so a slow spell of the host
+  // lands on both sizes; each row is the median.
+  std::vector<double> small_ns, large_ns;
+  for (int rep = 0; rep < 5; ++rep) {
+    small_ns.push_back(TimeReportPath(10'000));
+    large_ns.push_back(TimeReportPath(1'000'000));
+  }
+  const double report_small_ns = Median(small_ns);
+  const double report_large_ns = Median(large_ns);
+  std::printf("%-14d %14.1f\n", 10'000, report_small_ns);
+  std::printf("%-14d %14.1f\n", 1'000'000, report_large_ns);
+  report.Set("report_alerts_10000", "ns_per_report", report_small_ns);
+  report.Set("report_alerts_1000000", "ns_per_report", report_large_ns);
+  const double report_ratio = report_large_ns / report_small_ns;
+  std::printf("report cost ratio (1M / 10k in-window alerts): %.3fx "
+              "(limit %.2fx)\n",
+              report_ratio, kMaxReportRatio);
+
   double cost_ratio = min_ns > 0 ? max_ns / min_ns : 0;
   bool memory_flat = min_bytes == max_bytes;
   std::printf("\ncost ratio (worst/best cardinality): %.3fx (limit %.2fx)\n",
@@ -181,6 +253,8 @@ int Main(int argc, char** argv) {
   report.Set("summary", "max_ratio_limit", max_ratio);
   report.Set("summary", "memory_flat", memory_flat ? 1 : 0);
   report.Set("summary", "memory_bytes", static_cast<double>(max_bytes));
+  report.Set("summary", "report_ratio", report_ratio);
+  report.Set("summary", "report_ratio_limit", kMaxReportRatio);
 
   if (!report.WriteFile(JsonPathFromArgs(argc, argv))) return 1;
   if (cost_ratio > max_ratio) {
@@ -191,6 +265,13 @@ int Main(int argc, char** argv) {
   }
   if (!memory_flat) {
     std::fprintf(stderr, "FAIL: sketch memory varies with cardinality\n");
+    return 1;
+  }
+  if (report_ratio > kMaxReportRatio) {
+    std::fprintf(stderr,
+                 "FAIL: report cost grows with the threat window "
+                 "(%.3fx > %.2fx)\n",
+                 report_ratio, kMaxReportRatio);
     return 1;
   }
   return 0;

@@ -97,7 +97,7 @@ pos_access_right apache *
   std::printf("%-34s %10zu\n", "blacklist (BadGuys) size",
               server.state().GroupSize("BadGuys"));
   std::printf("%-34s %10zu\n", "IDS detected-attack reports",
-              server.ids().CountKind(gaa::core::ReportKind::kDetectedAttack));
+              IdsReportCount(server, gaa::core::ReportKind::kDetectedAttack));
   std::printf("%-34s %10zu\n", "admin notifications sent",
               server.notifier().sent_count());
   std::printf("%-34s %10s\n", "threat level after trace",

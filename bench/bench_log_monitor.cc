@@ -104,7 +104,7 @@ pos_access_right apache *
       }
     }
     gaa_live_reports =
-        server.ids().CountKind(gaa::core::ReportKind::kDetectedAttack);
+        IdsReportCount(server, gaa::core::ReportKind::kDetectedAttack);
   }
 
   std::printf("\n%-44s %10s\n", "metric", "value");

@@ -10,38 +10,9 @@
 #include <utility>
 
 #include "telemetry/metrics.h"
+#include "util/strings.h"
 
 namespace gaa::audit {
-
-void AppendJsonEscaped(std::string_view text, std::string* out) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
 
 namespace {
 
@@ -52,7 +23,7 @@ void AppendStringField(const char* key, std::string_view value, bool* first,
   out->push_back('"');
   out->append(key);
   out->append("\":\"");
-  AppendJsonEscaped(value, out);
+  util::AppendJsonEscaped(value, out);
   out->push_back('"');
 }
 

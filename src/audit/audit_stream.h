@@ -39,12 +39,6 @@ class MetricRegistry;
 
 namespace gaa::audit {
 
-/// Append `text` to `out` escaped for embedding inside a JSON string
-/// literal (quotes, backslashes, control characters).  Shared by the JSONL
-/// formatter below and by other JSON renderers that splice untrusted bytes
-/// (e.g. metric names read from another process's shared memory).
-void AppendJsonEscaped(std::string_view text, std::string* out);
-
 /// Render one record as a single JSONL line (no trailing newline).  Empty
 /// string fields and negative entry indexes are omitted.
 std::string FormatAuditJsonl(const AuditRecord& record);

@@ -21,6 +21,7 @@
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
 #include "util/shm_region.h"
+#include "util/strings.h"
 
 namespace gaa::cluster {
 
@@ -130,12 +131,12 @@ class SlabPublisher {
 // Slab name/label bytes come from another process's shared memory under a
 // deliberately best-effort read protocol, so a torn or corrupted entry may
 // carry arbitrary bytes.  Structured renderers must never splice them in
-// raw: JSON gets the audit escaper, Prometheus rejects anything that could
+// raw: JSON gets the shared escaper, Prometheus rejects anything that could
 // break line or brace structure.
 std::string JsonEscaped(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  audit::AppendJsonEscaped(text, &out);
+  util::AppendJsonEscaped(text, &out);
   return out;
 }
 

@@ -117,11 +117,6 @@ std::shared_ptr<const CompiledPolicy> IrStore::Intern(
   std::shared_ptr<const CompiledPolicy> compiled =
       CompilePolicy(policy, name, env);
   map_[key] = compiled;
-  // Amortized reclamation: one sweep per compile keeps the table bounded by
-  // the live set without a background thread (compiles are rare and already
-  // off the request path).
-  SweepLocked();
-  PublishGaugesLocked();
   return compiled;
 }
 
@@ -157,7 +152,8 @@ IrStore::Stats IrStore::stats() const {
   return s;
 }
 
-void IrStore::SweepLocked() {
+void IrStore::Sweep() {
+  std::lock_guard<std::mutex> lock(mu_);
   live_bytes_ = 0;
   for (auto it = map_.begin(); it != map_.end();) {
     if (auto p = it->second.lock()) {
@@ -168,6 +164,7 @@ void IrStore::SweepLocked() {
       ++sweeps_;
     }
   }
+  PublishGaugesLocked();
 }
 
 void IrStore::PublishGaugesLocked() {

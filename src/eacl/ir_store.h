@@ -19,9 +19,10 @@
 //     get baked in, so stale IR can never be served).
 //   * Entries are held by weak_ptr: the store never keeps IR alive on its
 //     own.  Snapshots hold the strong references; when the last tenant
-//     referencing a fragment drops it, the next Sweep() (run on every
-//     intern, amortized) erases the dead slot.  Dedup hits/misses and the
-//     live entry/byte totals are counted into gaa_ir_store_* metrics.
+//     referencing a fragment drops it, the next Sweep() (the policy store
+//     runs one after every republish) erases the dead slot.  Dedup
+//     hits/misses and the live entry/byte totals are counted into
+//     gaa_ir_store_* metrics.
 //
 // Thread-safety: Intern/Sweep are mutex-guarded (they run on the policy
 // mutation path, never per request); the returned CompiledPolicy objects
@@ -72,6 +73,10 @@ class IrStore {
                                                const CompileEnv& env,
                                                std::uint64_t env_version);
 
+  /// Erase the slots whose object no holder keeps alive any more, then
+  /// publish the `gaa_ir_store_{entries,bytes}` gauges.
+  void Sweep();
+
   /// Mirror the counters into `gaa_ir_store_{hits,misses}_total` and the
   /// `gaa_ir_store_{entries,bytes}` gauges.
   void AttachMetrics(telemetry::MetricRegistry* registry);
@@ -79,7 +84,6 @@ class IrStore {
   Stats stats() const;
 
  private:
-  void SweepLocked();
   void PublishGaugesLocked();
 
   mutable std::mutex mu_;
@@ -87,7 +91,7 @@ class IrStore {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t sweeps_ = 0;
-  std::size_t live_bytes_ = 0;  ///< refreshed by SweepLocked
+  std::size_t live_bytes_ = 0;  ///< refreshed by Sweep
   telemetry::Counter* hit_counter_ = nullptr;
   telemetry::Counter* miss_counter_ = nullptr;
   telemetry::Gauge* entries_gauge_ = nullptr;

@@ -401,6 +401,11 @@ void PolicyStore::RepublishLocked(const std::string* only) {
   // Readers that loaded the previous table hold their own reference; it
   // and every snapshot only it holds are freed when the last one lets go.
   published_.store(std::move(next), std::memory_order_release);
+  // Compiles are rare and off the request path, so one sweep per
+  // republish keeps the IR table bounded by the live set, removals
+  // included, without a background thread.
+  prev.reset();
+  ir_store_.Sweep();
 }
 
 std::string PolicyStore::ExportSystemPolicies() const {

@@ -831,10 +831,7 @@ void TcpServer::ShardLoop(Shard& shard) {
         listen_open = false;
       }
       if (drain_deadline_ms < 0) {
-        const int drain_ms = options_.drain_deadline_ms >= 0
-                                 ? options_.drain_deadline_ms
-                                 : options_.drain_timeout_ms;
-        drain_deadline_ms = now + drain_ms;
+        drain_deadline_ms = now + options_.drain_deadline_ms;
       }
       bool pending = false;
       for (const auto& [id, conn] : shard.conns) {

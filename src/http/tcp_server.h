@@ -30,7 +30,7 @@
 //     per connection, idle-connection timeouts (per-shard lazy timer
 //     wheel), and a global max-connections cap with graceful 503 shedding;
 //   * Stop() drains in-flight requests before closing (bounded by
-//     Options::drain_timeout_ms).
+//     Options::drain_deadline_ms).
 //
 // Request framing (the split of the byte stream into request texts) happens
 // here, before the parser: framing is attack surface (request smuggling,
@@ -86,16 +86,13 @@ class TcpServer {
     /// Close a connection after it has served this many requests.
     std::size_t max_keepalive_requests = 1000;
     /// Stop(): how long to wait for in-flight requests to finish and
-    /// responses to flush before force-closing.
-    int drain_timeout_ms = 2000;
-    /// Explicit drain deadline for Stop(); when >= 0 it overrides
-    /// drain_timeout_ms.  Connections still busy (or with unflushed output)
-    /// at the deadline are force-closed and *reported* — counted in
+    /// responses to flush.  Connections still busy (or with unflushed
+    /// output) at the deadline are force-closed and *reported* — counted in
     /// Stats::drain_force_closed, exported as the
     /// transport_drain_force_closed gauge, and surfaced through the drain
     /// hook so the integration layer can write an audit event — instead of
     /// being silently destroyed.
-    int drain_deadline_ms = -1;
+    int drain_deadline_ms = 2000;
     /// Listener fds inherited from a cluster supervisor (DESIGN.md §15),
     /// one per reactor shard in shard order; each must already be bound +
     /// listening on the same SO_REUSEPORT port.  Ownership transfers to the

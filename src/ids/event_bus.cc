@@ -1,22 +1,8 @@
 #include "ids/event_bus.h"
 
-#include "gaa/services.h"
 #include "telemetry/metrics.h"
 
 namespace gaa::ids {
-
-EventBus::SubscriptionId ConnectAlertNotifications(
-    EventBus& bus, core::NotificationService& notifier, int min_severity,
-    const std::string& recipient) {
-  SubscriptionPolicy policy;
-  policy.topic_pattern = "*";
-  policy.min_severity = min_severity;
-  return bus.Subscribe(policy, [&notifier, recipient](const Event& event) {
-    notifier.Notify(recipient, "[ids] " + event.topic,
-                    "severity=" + std::to_string(event.severity) + " " +
-                        event.payload);
-  });
-}
 
 EventBus::SubscriptionId EventBus::Subscribe(SubscriptionPolicy policy,
                                              EventCallback callback) {
@@ -38,12 +24,10 @@ void EventBus::Publish(Event event) {
   std::vector<EventCallback> targets;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++published_;
     for (auto& [id, sub] : subs_) {
       if (event.severity < sub.policy.min_severity) continue;
       if (!sub.topic_glob.Matches(event.topic)) continue;
       targets.push_back(sub.callback);
-      ++delivered_;
     }
   }
   if (published_counter_ != nullptr) published_counter_->Inc();
@@ -67,16 +51,6 @@ void EventBus::AttachMetrics(telemetry::MetricRegistry* registry) {
 std::size_t EventBus::subscriber_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return subs_.size();
-}
-
-std::uint64_t EventBus::published_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return published_;
-}
-
-std::uint64_t EventBus::delivered_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delivered_;
 }
 
 }  // namespace gaa::ids

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "gaa/services.h"
 #include "util/clock.h"
 #include "util/glob.h"
 
@@ -54,14 +53,13 @@ class EventBus {
   /// Deliver synchronously to every matching subscriber.
   void Publish(Event event);
 
-  /// Export publish/delivery counts as `ids_events_published_total` /
-  /// `ids_events_delivered_total`.  Call before concurrent Publish traffic;
-  /// null detaches.
+  /// Count publishes and per-subscriber deliveries as
+  /// `ids_events_published_total` / `ids_events_delivered_total`, the
+  /// bus's only counts.  Call before concurrent Publish traffic; null
+  /// detaches.
   void AttachMetrics(telemetry::MetricRegistry* registry);
 
   std::size_t subscriber_count() const;
-  std::uint64_t published_count() const;
-  std::uint64_t delivered_count() const;
 
  private:
   struct Subscription {
@@ -76,16 +74,6 @@ class EventBus {
   mutable std::mutex mu_;
   std::map<SubscriptionId, Subscription> subs_;
   SubscriptionId next_id_ = 1;
-  std::uint64_t published_ = 0;
-  std::uint64_t delivered_ = 0;
 };
-
-/// Wire high-severity bus events to administrator notification — a
-/// consumer of the §9 policy-controlled subscription channel: the
-/// severity floor IS the subscription policy.  Returns the subscription id
-/// (Unsubscribe() to disconnect).
-EventBus::SubscriptionId ConnectAlertNotifications(
-    EventBus& bus, core::NotificationService& notifier,
-    int min_severity = 8, const std::string& recipient = "sysadmin");
 
 }  // namespace gaa::ids

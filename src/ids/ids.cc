@@ -1,7 +1,5 @@
 #include "ids/ids.h"
 
-#include <algorithm>
-
 namespace gaa::ids {
 
 IntrusionDetectionSystem::IntrusionDetectionSystem(
@@ -37,10 +35,6 @@ void IntrusionDetectionSystem::Report(const core::IdsReport& report) {
                       core::ReportKindName(report.kind) + "\"";
              })
         ->Inc();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    reports_.push_back(report);
   }
   // Severity-weighted feed into the threat profile; benign pattern reports
   // (item 7) do not escalate.
@@ -134,25 +128,6 @@ void IntrusionDetectionSystem::RecomputeAdaptiveValues() {
       state_->SetVariable("gaa.lockdown_hours", "09:00-17:00");
       break;
   }
-}
-
-std::vector<core::IdsReport> IntrusionDetectionSystem::ReportsSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reports_;
-}
-
-std::size_t IntrusionDetectionSystem::report_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reports_.size();
-}
-
-std::size_t IntrusionDetectionSystem::CountKind(core::ReportKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& r : reports_) {
-    if (r.kind == kind) ++n;
-  }
-  return n;
 }
 
 }  // namespace gaa::ids

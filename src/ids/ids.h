@@ -10,12 +10,9 @@
 //   * anomaly-based detection on top of the signature-based machinery (§9).
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <mutex>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "gaa/services.h"
 #include "gaa/system_state.h"
@@ -40,8 +37,9 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   bool SuspectedSpoofing(const std::string& source_ip) override;
 
   /// Export IDS activity into the registry: `ids_reports_total{kind=...}`
-  /// per report kind, plus bus publish/delivery counters and the threat
-  /// level gauge (forwards to EventBus / ThreatService).  Null detaches.
+  /// per report kind (the IDS keeps no other record of its reports), plus
+  /// bus publish/delivery counters and the threat level gauge (forwards to
+  /// EventBus / ThreatService).  Null detaches.
   void AttachMetrics(telemetry::MetricRegistry* registry);
 
   /// Record threat-level transitions into the audit trail as structured
@@ -84,11 +82,6 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   /// gaa.max_cgi_input, gaa.rate_limit and gaa.lockdown_hours.
   void RecomputeAdaptiveValues();
 
-  // --- stats ---------------------------------------------------------------
-  std::vector<core::IdsReport> ReportsSnapshot() const;
-  std::size_t report_count() const;
-  std::size_t CountKind(core::ReportKind kind) const;
-
  private:
   core::SystemState* state_;
   util::Clock* clock_;
@@ -100,8 +93,7 @@ class IntrusionDetectionSystem final : public core::IdsChannel {
   EventBus bus_;
   sketch::StreamingAnomalyProvider stream_;
   SignatureDb signatures_;
-  mutable std::mutex mu_;
-  std::vector<core::IdsReport> reports_;
+  std::mutex mu_;
   std::set<std::string> spoofed_sources_;
 };
 

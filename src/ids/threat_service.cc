@@ -1,32 +1,50 @@
 #include "ids/threat_service.h"
 
+#include <algorithm>
+
 #include "telemetry/metrics.h"
 
 namespace gaa::ids {
 
 using core::ThreatLevel;
 
+namespace {
+
+/// Floor division, so bucket boundaries fall alike on both sides of zero.
+std::int64_t FloorDiv(std::int64_t a, std::int64_t b) {
+  return a / b - (a % b < 0 ? 1 : 0);
+}
+
+}  // namespace
+
 ThreatService::ThreatService(core::SystemState* state, util::Clock* clock,
                              Options options)
-    : state_(state), clock_(clock), options_(options) {}
+    : state_(state),
+      clock_(clock),
+      options_(options),
+      bucket_us_(std::max<util::DurationUs>(
+          1, (options.window_us + kBuckets - 1) / kBuckets)) {}
 
 void ThreatService::ReportAlert(double severity) {
-  ThreatLevel now;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    alerts_.emplace_back(clock_->Now(), severity);
-    RecomputeLocked();
-    now = level_;
-  }
+  const ThreatLevel now = AddAlert(severity);
   // Outside the lock: the hook publishes to the cluster bus, and remote
   // processes may call back into ReportRemoteAlert concurrently.
   if (bus_hook_) bus_hook_(severity, now);
 }
 
-void ThreatService::ReportRemoteAlert(double severity) {
+void ThreatService::ReportRemoteAlert(double severity) { AddAlert(severity); }
+
+ThreatLevel ThreatService::AddAlert(double severity) {
   std::lock_guard<std::mutex> lock(mu_);
-  alerts_.emplace_back(clock_->Now(), severity);
+  const std::int64_t index = FloorDiv(clock_->Now(), bucket_us_);
+  const auto slots = static_cast<std::int64_t>(ring_.size());
+  Bucket& bucket =
+      ring_[static_cast<std::size_t>(index - FloorDiv(index, slots) * slots)];
+  // A slot whose bucket is older than this one has left the window.
+  if (bucket.index < index) bucket = Bucket{index, 0};
+  bucket.score += severity;
   RecomputeLocked();
+  return level_;
 }
 
 void ThreatService::Tick() {
@@ -67,10 +85,15 @@ ThreatLevel ThreatService::level() const {
 
 double ThreatService::WindowScore() const {
   std::lock_guard<std::mutex> lock(mu_);
-  util::TimePoint cutoff = clock_->Now() - options_.window_us;
+  return ScoreLocked(clock_->Now());
+}
+
+double ThreatService::ScoreLocked(util::TimePoint now) const {
+  // A bucket counts while any instant of it lies inside the window.
+  const std::int64_t oldest = FloorDiv(now - options_.window_us, bucket_us_);
   double score = 0;
-  for (const auto& [t, s] : alerts_) {
-    if (t >= cutoff) score += s;
+  for (const Bucket& bucket : ring_) {
+    if (bucket.index >= oldest) score += bucket.score;
   }
   return score;
 }
@@ -78,11 +101,7 @@ double ThreatService::WindowScore() const {
 void ThreatService::RecomputeLocked() {
   ThreatLevel previous = level_;
   util::TimePoint now = clock_->Now();
-  while (!alerts_.empty() && alerts_.front().first < now - options_.window_us) {
-    alerts_.pop_front();
-  }
-  double score = 0;
-  for (const auto& [t, s] : alerts_) score += s;
+  const double score = ScoreLocked(now);
 
   ThreatLevel target = ThreatLevel::kLow;
   if (score >= options_.high_score) {

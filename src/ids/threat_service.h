@@ -6,9 +6,15 @@
 // window and maps the score to a level via two thresholds; levels decay
 // back down after a quiet period.  It writes the level into the shared
 // SystemState, where `pre_cond_system_threat_level` reads it.
+//
+// The window is a fixed ring of time buckets (DESIGN.md §12.2), so an
+// alert and a tick cost the same however many alerts the window holds,
+// and the service's memory never grows.  An alert counts for at least
+// `window_us` and for less than `window_us` plus one bucket width.
 #pragma once
 
-#include <deque>
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 
@@ -66,18 +72,34 @@ class ThreatService {
   core::ThreatLevel level() const;
   double WindowScore() const;
 
+  /// The window spans this many buckets of ⌈window_us / kBuckets⌉ µs.
+  static constexpr std::int64_t kBuckets = 64;
+
  private:
+  /// The scores of the alerts filed in [index * width, (index + 1) * width).
+  struct Bucket {
+    std::int64_t index = 0;
+    double score = 0;
+  };
+
+  /// File one alert and recompute; returns the level it produced.
+  core::ThreatLevel AddAlert(double severity);
+  /// Sum of the buckets that still overlap [now - window_us, now].
+  double ScoreLocked(util::TimePoint now) const;
   void RecomputeLocked();
   void PublishLevelLocked(core::ThreatLevel previous);
 
   core::SystemState* state_;
   util::Clock* clock_;
   Options options_;
+  util::DurationUs bucket_us_;
   BusHook bus_hook_;  // set before serving starts; never under mu_
   telemetry::Gauge* level_gauge_ = nullptr;
   telemetry::Counter* transitions_ = nullptr;
   mutable std::mutex mu_;
-  std::deque<std::pair<util::TimePoint, double>> alerts_;
+  // One slot more than the window spans: the bucket that the window's
+  // trailing edge cuts through still counts.
+  std::array<Bucket, kBuckets + 1> ring_{};
   core::ThreatLevel level_ = core::ThreatLevel::kLow;
   util::TimePoint last_escalation_us_ = 0;
 };

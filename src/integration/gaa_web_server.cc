@@ -240,30 +240,17 @@ util::VoidResult GaaWebServer::SetTenantLocalPolicy(
 }
 
 std::string GaaWebServer::RenderTenantsJson() const {
-  // Tenant names come from configuration, but escape anyway — this string
-  // goes on the wire as application/json.
-  auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += "\\u0020";  // control bytes can't appear in valid names
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  };
   const eacl::IrStore::Stats ir = store_.ir_store_stats();
   std::string out = "{\"tenants\":[";
   bool first = true;
   for (const core::PolicyStore::TenantInfo& info : store_.TenantInfos()) {
     if (!first) out.push_back(',');
     first = false;
-    out += "{\"name\":\"" + escape(info.name) + "\"";
+    // Tenant names come from configuration, but escape anyway — this
+    // string goes on the wire as application/json.
+    out += "{\"name\":\"";
+    util::AppendJsonEscaped(info.name, &out);
+    out.push_back('"');
     out += ",\"snapshot_version\":" + std::to_string(info.snapshot_version);
     out += ",\"system_policies\":" + std::to_string(info.system_policies);
     out += ",\"local_policies\":" + std::to_string(info.local_policies);

@@ -9,6 +9,8 @@
 #include <string_view>
 #include <unordered_set>
 
+#include "util/strings.h"
+
 namespace gaa::telemetry {
 
 namespace {
@@ -38,33 +40,7 @@ const char* KindName(MetricKind kind) {
 
 void AppendJsonString(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  util::AppendJsonEscaped(s, &out);
   out.push_back('"');
 }
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace gaa::util {
@@ -164,6 +165,36 @@ int B64Value(char c) {
   return -1;
 }
 }  // namespace
+
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  for (char c : text) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+}
 
 std::string Base64Encode(std::string_view data) {
   std::string out;

@@ -52,6 +52,12 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 /// detection uses this.
 bool IsPrintableAscii(std::string_view s);
 
+/// Append `text` to `out` escaped for the inside of a JSON string literal:
+/// `"`, `\`, `\n`, `\r` and `\t` get their short escapes, every other
+/// control byte a `\u00XX` one.  Safe for untrusted bytes (e.g. names read
+/// from another process's shared memory).
+void AppendJsonEscaped(std::string_view text, std::string* out);
+
 /// Standard base64 (RFC 4648) — used by HTTP Basic authentication.
 std::string Base64Encode(std::string_view data);
 std::optional<std::string> Base64Decode(std::string_view encoded);

@@ -20,6 +20,7 @@
 #include "eacl/compile.h"
 #include "eacl/parser.h"
 #include "gaa/api.h"
+#include "ids/ids.h"
 #include "telemetry/metrics.h"
 #include "testing/helpers.h"
 
@@ -270,7 +271,6 @@ TEST(GrowthLaw, RemovedTenantsReturnTheHeapToBaseline) {
   constexpr int kTenants = 64;
   telemetry::MetricRegistry metrics;
   ApiStack stack(&metrics);
-  int global_reload = 0;
   auto add_and_remove = [&](int count) {
     for (int t = 0; t < count; ++t) {
       const std::string tenant = "tenant" + std::to_string(t);
@@ -278,19 +278,19 @@ TEST(GrowthLaw, RemovedTenantsReturnTheHeapToBaseline) {
           stack.store.SetTenantLocalPolicy(tenant, "/", ReloadText(t)).ok());
       ASSERT_NE(stack.store.CurrentSnapshotFor(tenant), nullptr);
     }
+    // Every republish, a removal's included, sweeps the IR store's dead
+    // slots: the removed tenants' IR leaves no table entry behind.
     for (int t = 0; t < count; ++t) {
       EXPECT_TRUE(stack.store.RemoveTenant("tenant" + std::to_string(t)));
     }
-    // A global reload compiles, and every compile sweeps the IR store's
-    // dead slots: the removed tenants' IR leaves no table entry behind.
-    ASSERT_TRUE(stack.store
-                    .SetLocalPolicy("/", ReloadText(1000 + global_reload++))
-                    .ok());
   };
 
   // Warm-up: one full round creates the tenant-local series and sizes the
   // hash tables for kTenants live namespaces (bucket arrays never shrink).
+  // A global reload then compiles, so the baseline holds no dead IR slot
+  // even on a store that sweeps only when it compiles.
   add_and_remove(kTenants);
+  ASSERT_TRUE(stack.store.SetLocalPolicy("/", ReloadText(1000)).ok());
   const std::int64_t baseline = g_live_bytes.load();
   add_and_remove(kTenants);
   const std::int64_t residue = g_live_bytes.load() - baseline;
@@ -298,6 +298,48 @@ TEST(GrowthLaw, RemovedTenantsReturnTheHeapToBaseline) {
             << " tenants: " << residue << " bytes\n";
   EXPECT_EQ(stack.store.tenant_count(), 0u);
   EXPECT_LE(residue, 1024);
+}
+
+TEST(GrowthLaw, IdsReportsKeepTheHeapConstant) {
+  constexpr int kReports = 10'000;
+  util::SimulatedClock clock(0);
+  core::SystemState state(&clock);
+  telemetry::MetricRegistry metrics;
+  ids::IntrusionDetectionSystem ids(&state, &clock);
+  ids.AttachMetrics(&metrics);
+  core::IdsReport report;
+  report.kind = core::ReportKind::kDetectedAttack;
+  report.object = "/cgi-bin/phf";
+  report.attack_type = "cgi_exploit";
+  report.severity = 8;
+  report.confidence = 1.0;
+  int source = 0;
+  // One report per distinct source, 50 µs apart: the 10N reports span 5 s
+  // of the 60 s threat window, so every alert is still in it.
+  auto file = [&](int count) {
+    for (int i = 0; i < count; ++i, ++source) {
+      report.source_ip = "10." + std::to_string(source >> 16) + "." +
+                         std::to_string(source >> 8 & 255) + "." +
+                         std::to_string(source & 255);
+      clock.Advance(50);
+      ids.Report(report);
+    }
+  };
+
+  file(64);  // warm-up: report series, threat gauges, adaptive variables
+  ASSERT_EQ(state.threat_level(), core::ThreatLevel::kHigh);
+  const std::int64_t baseline = g_live_bytes.load();
+  file(kReports);
+  const std::int64_t after_n = g_live_bytes.load() - baseline;
+  file(9 * kReports);
+  const std::int64_t after_10n = g_live_bytes.load() - baseline;
+  std::cout << "heap growth over " << kReports << " IDS reports: " << after_n
+            << " bytes, over " << 10 * kReports << ": " << after_10n << "\n";
+  EXPECT_EQ(state.threat_level(), core::ThreatLevel::kHigh);
+  EXPECT_EQ(testing::IdsReportCount(metrics), 64u + 10 * kReports);
+  // Constant: a kept record of each report would add tens of bytes for
+  // every one of the 9N extra reports.
+  EXPECT_LE(after_10n - after_n, 1024);
 }
 
 }  // namespace

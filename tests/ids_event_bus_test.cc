@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/metrics.h"
+
 namespace gaa::ids {
 namespace {
 
@@ -40,14 +42,17 @@ TEST_F(EventBusTest, SeverityFilterIsThePolicyControl) {
 }
 
 TEST_F(EventBusTest, MultipleSubscribersEachGetACopy) {
+  telemetry::MetricRegistry registry;
+  bus_.AttachMetrics(&registry);
   int a = 0, b = 0;
   bus_.Subscribe({"*", 0}, [&](const Event&) { ++a; });
   bus_.Subscribe({"*", 0}, [&](const Event&) { ++b; });
   bus_.Publish({"t", "s", 1, "", 0});
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 1);
-  EXPECT_EQ(bus_.published_count(), 1u);
-  EXPECT_EQ(bus_.delivered_count(), 2u);
+  EXPECT_EQ(registry.GetCounter("ids_events_published_total")->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("ids_events_delivered_total")->Value(), 2u);
+  bus_.AttachMetrics(nullptr);
 }
 
 TEST_F(EventBusTest, Unsubscribe) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "testing/helpers.h"
+
 namespace gaa::ids {
 namespace {
 
@@ -10,7 +16,9 @@ using core::ThreatLevel;
 
 class IdsSystemTest : public ::testing::Test {
  protected:
-  IdsSystemTest() : clock_(0), state_(&clock_), ids_(&state_, &clock_) {}
+  IdsSystemTest() : clock_(0), state_(&clock_), ids_(&state_, &clock_) {
+    ids_.AttachMetrics(&registry_);
+  }
 
   core::IdsReport Attack(int severity, double confidence = 1.0) {
     core::IdsReport r;
@@ -25,15 +33,53 @@ class IdsSystemTest : public ::testing::Test {
 
   util::SimulatedClock clock_;
   core::SystemState state_;
+  telemetry::MetricRegistry registry_;
   IntrusionDetectionSystem ids_;
 };
 
 TEST_F(IdsSystemTest, ReportsAccumulate) {
   ids_.Report(Attack(5));
   ids_.Report(Attack(7));
-  EXPECT_EQ(ids_.report_count(), 2u);
-  EXPECT_EQ(ids_.CountKind(ReportKind::kDetectedAttack), 2u);
-  EXPECT_EQ(ids_.CountKind(ReportKind::kIllFormedRequest), 0u);
+  EXPECT_EQ(testing::IdsReportCount(registry_), 2u);
+  EXPECT_EQ(testing::IdsReportCount(registry_, ReportKind::kDetectedAttack),
+            2u);
+  EXPECT_EQ(testing::IdsReportCount(registry_, ReportKind::kIllFormedRequest),
+            0u);
+}
+
+// Reports from four threads race the maintenance tick and alerts arriving
+// from other cluster processes; every report is counted once and the
+// level the threat window produces is the one SystemState holds.
+TEST_F(IdsSystemTest, ConcurrentReportsTicksAndRemoteAlerts) {
+  constexpr int kThreads = 4;
+  constexpr int kReports = 2000;
+  std::vector<std::thread> reporters;
+  for (int t = 0; t < kThreads; ++t) {
+    reporters.emplace_back([this, t] {
+      core::IdsReport report = Attack(1, 0.01);
+      for (int i = 0; i < kReports; ++i) {
+        report.source_ip = "198.51." + std::to_string(t) + "." +
+                           std::to_string(i % 250);
+        ids_.Report(report);
+      }
+    });
+  }
+  std::thread maintenance([this] {
+    for (int i = 0; i < kReports; ++i) {
+      clock_.Advance(1000);
+      ids_.PeriodicMaintenance();
+      ids_.threat().ReportRemoteAlert(0.01);
+    }
+  });
+  for (auto& reporter : reporters) reporter.join();
+  maintenance.join();
+
+  EXPECT_EQ(testing::IdsReportCount(registry_, ReportKind::kDetectedAttack),
+            static_cast<std::uint64_t>(kThreads * kReports));
+  // 10k alerts of 0.01 in a 2 s span: a score of 100, far past high.
+  EXPECT_NEAR(ids_.threat().WindowScore(), 100.0, 1e-6);
+  EXPECT_EQ(ids_.threat().level(), ThreatLevel::kHigh);
+  EXPECT_EQ(state_.threat_level(), ThreatLevel::kHigh);
 }
 
 TEST_F(IdsSystemTest, AttackReportsEscalateThreatLevel) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace gaa::ids {
 namespace {
 
@@ -82,6 +84,33 @@ TEST_F(ThreatServiceTest, ForceLevelOverrides) {
   EXPECT_EQ(state_.threat_level(), ThreatLevel::kHigh);
   svc.ForceLevel(ThreatLevel::kLow);
   EXPECT_EQ(svc.level(), ThreatLevel::kLow);
+}
+
+// The window is a ring of time buckets: an alert counts for at least
+// window_us and for less than window_us plus one bucket width, wherever in
+// its bucket it falls.  An alert filed as the first expires lands in the
+// ring slot after it and must not evict it early.
+TEST_F(ThreatServiceTest, AlertCountsForTheWindowAndExpiresWithinOneBucket) {
+  for (util::DurationUs window :
+       {60 * util::kMicrosPerSecond, util::DurationUs{1000}}) {
+    ThreatService::Options opts = QuickOptions();
+    opts.window_us = window;
+    const util::DurationUs width =
+        (window + ThreatService::kBuckets - 1) / ThreatService::kBuckets;
+    for (util::DurationUs offset :
+         {util::DurationUs{0}, width / 2, width - 1}) {
+      SCOPED_TRACE("window " + std::to_string(window) + " offset " +
+                   std::to_string(offset));
+      util::SimulatedClock clock(10 * window + 7 * width + offset);
+      ThreatService svc(&state_, &clock, opts);
+      svc.ReportAlert(8.0);
+      clock.Advance(window);
+      svc.ReportAlert(1.0);
+      EXPECT_DOUBLE_EQ(svc.WindowScore(), 9.0);
+      clock.Advance(width);
+      EXPECT_DOUBLE_EQ(svc.WindowScore(), 1.0);
+    }
+  }
 }
 
 TEST(ThreatLevelParse, Names) {

@@ -2,8 +2,12 @@
 // phases 3-4) through the full server pipeline.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "http/doc_tree.h"
 #include "integration/gaa_web_server.h"
+#include "testing/helpers.h"
 
 namespace gaa::web {
 namespace {
@@ -106,7 +110,9 @@ pre_cond_threshold local failed_auth:%ip 3 60
   // ...even without credentials, and the violation reached the IDS.
   EXPECT_EQ(server.Get("/index.html", "203.0.113.5").status,
             StatusCode::kForbidden);
-  EXPECT_GE(server.ids().CountKind(core::ReportKind::kThresholdViolation), 1u);
+  EXPECT_GE(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kThresholdViolation),
+            1u);
   // Other sources are unaffected.
   EXPECT_EQ(server.Get("/index.html", "10.0.0.1").status, StatusCode::kOk);
   // The window expires: the source is forgiven.
@@ -120,10 +126,14 @@ TEST(ControllerReporting, SensitiveDenialReported) {
   GaaWebServer server(http::DocTree::DemoSite(), options);
   ASSERT_TRUE(server.SetLocalPolicy("/", "neg_access_right apache *\n").ok());
   server.Get("/private/report.html", "203.0.113.9");
-  EXPECT_EQ(server.ids().CountKind(core::ReportKind::kSensitiveDenial), 1u);
+  EXPECT_EQ(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kSensitiveDenial),
+            1u);
   // Non-sensitive denial: no report.
   server.Get("/index.html", "203.0.113.9");
-  EXPECT_EQ(server.ids().CountKind(core::ReportKind::kSensitiveDenial), 1u);
+  EXPECT_EQ(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kSensitiveDenial),
+            1u);
 }
 
 TEST(ControllerReporting, LegitimatePatternsWhenEnabled) {
@@ -133,7 +143,9 @@ TEST(ControllerReporting, LegitimatePatternsWhenEnabled) {
   ASSERT_TRUE(server.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
   server.Get("/index.html", "10.0.0.1");
   server.Get("/docs/guide.html", "10.0.0.1");
-  EXPECT_EQ(server.ids().CountKind(core::ReportKind::kLegitimatePattern), 2u);
+  EXPECT_EQ(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kLegitimatePattern),
+            2u);
   // They must not move the threat level.
   EXPECT_EQ(server.state().threat_level(), core::ThreatLevel::kLow);
 }
@@ -141,12 +153,19 @@ TEST(ControllerReporting, LegitimatePatternsWhenEnabled) {
 TEST(ControllerReporting, IllFormedRequestsReachTheIds) {
   GaaWebServer server(http::DocTree::DemoSite(), TestOptions());
   ASSERT_TRUE(server.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
+  // The bus carries each report's content; the IDS keeps no copy.
+  std::vector<std::string> payloads;
+  server.ids().bus().Subscribe(
+      {"gaa.report.ill_formed_request", 0},
+      [&](const ids::Event& event) { payloads.push_back(event.payload); });
   server.HandleText("GEX / HTTP/1.1\r\n\r\n", "203.0.113.9");
   server.HandleText("GET /%zz HTTP/1.1\r\n\r\n", "203.0.113.9");
-  EXPECT_EQ(server.ids().CountKind(core::ReportKind::kIllFormedRequest), 2u);
-  auto reports = server.ids().ReportsSnapshot();
-  EXPECT_EQ(reports[0].attack_type, "bad_method");
-  EXPECT_EQ(reports[1].attack_type, "bad_escape");
+  EXPECT_EQ(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kIllFormedRequest),
+            2u);
+  ASSERT_EQ(payloads.size(), 2u);
+  EXPECT_NE(payloads[0].find(" type=bad_method "), std::string::npos);
+  EXPECT_NE(payloads[1].find(" type=bad_escape "), std::string::npos);
 }
 
 TEST(ControllerPhases, MidConditionAbortsExpensiveCgi) {
@@ -193,7 +212,9 @@ post_cond_check_integrity local /etc/*
 )")
                   .ok());
   server.Get("/cgi-bin/phf?Qalias=x%0acat", "203.0.113.9");
-  EXPECT_GE(server.ids().CountKind(core::ReportKind::kSuspiciousBehavior), 1u);
+  EXPECT_GE(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kSuspiciousBehavior),
+            1u);
   EXPECT_GE(server.notifier().sent_count(), 1u);
   EXPECT_EQ(server.audit_log().CountCategory("integrity"), 1u);
 }

@@ -8,6 +8,7 @@
 
 #include "http/doc_tree.h"
 #include "integration/gaa_web_server.h"
+#include "testing/helpers.h"
 #include "workload/trace.h"
 
 namespace gaa::web {
@@ -109,7 +110,9 @@ TEST_F(IntrusionTest, BlacklistIsSharedAcrossObjects) {
 
 TEST_F(IntrusionTest, SignatureHitsAreReportedToIds) {
   server_.Get("/cgi-bin/phf?x", "203.0.113.9");
-  EXPECT_GE(server_.ids().CountKind(core::ReportKind::kDetectedAttack), 1u);
+  EXPECT_GE(testing::IdsReportCount(server_.telemetry().registry(),
+                                    core::ReportKind::kDetectedAttack),
+            1u);
 }
 
 TEST_F(IntrusionTest, RepeatedAttacksEscalateThreatLevel) {

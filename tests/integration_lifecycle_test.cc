@@ -6,6 +6,7 @@
 #include "http/doc_tree.h"
 #include "ids/event_bus.h"
 #include "integration/gaa_web_server.h"
+#include "testing/helpers.h"
 #include "workload/trace.h"
 
 namespace gaa::web {
@@ -51,10 +52,12 @@ pre_cond_system_threat_level local <high
                   .ok());
 
   // The §9 subscription channel: high-severity events fan out to a second
-  // notification path (e.g. the security officer's pager).
+  // notification path (e.g. the security officer's pager); the severity
+  // floor is the subscription policy.
   audit::SimulatedSmtpNotifier pager(server.sim_clock(), 0);
-  ids::ConnectAlertNotifications(server.ids().bus(), pager,
-                                 /*min_severity=*/6, "security-officer");
+  server.ids().bus().Subscribe({"*", 6}, [&pager](const ids::Event& event) {
+    pager.Notify("security-officer", "[ids] " + event.topic, event.payload);
+  });
 
   // --- phase 1: normal operation -------------------------------------------
   EXPECT_EQ(server.Get("/index.html", "10.0.0.1").status, StatusCode::kOk);
@@ -103,7 +106,9 @@ pre_cond_system_threat_level local <high
 
   // --- audit trail: the incident is fully reconstructable ---------------------
   EXPECT_GE(server.audit_log().CountCategory("blacklist"), 2u);
-  EXPECT_GE(server.ids().CountKind(core::ReportKind::kDetectedAttack), 2u);
+  EXPECT_GE(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kDetectedAttack),
+            2u);
 }
 
 TEST(PolicyExport, RoundTripsThroughParser) {

@@ -5,6 +5,7 @@
 
 #include "http/doc_tree.h"
 #include "integration/gaa_web_server.h"
+#include "testing/helpers.h"
 #include "workload/trace.h"
 
 namespace gaa::web {
@@ -138,7 +139,9 @@ pos_access_right apache *
   // Attacker hosts got blacklisted.
   EXPECT_GT(server.state().GroupSize("BadGuys"), 0u);
   // Every signature hit produced an IDS report.
-  EXPECT_GT(server.ids().CountKind(core::ReportKind::kDetectedAttack), 0u);
+  EXPECT_GT(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kDetectedAttack),
+            0u);
   // The server kept serving throughout.
   EXPECT_EQ(server.server().requests_served(), trace.size());
 }

@@ -9,6 +9,7 @@
 
 #include "audit/audit_stream.h"
 #include "integration/gaa_web_server.h"
+#include "testing/helpers.h"
 #include "util/config.h"
 
 namespace gaa::web {
@@ -203,7 +204,9 @@ TEST(Observability, WatchdogFlagsAndAuditsSlowRequests) {
   ASSERT_EQ(slow.size(), 1u);
   EXPECT_EQ(slow[0].target, "/slow.html");
   // The flagged request also fed the IDS as suspicious behaviour (§3.6).
-  EXPECT_GE(server.ids().CountKind(core::ReportKind::kSuspiciousBehavior), 1u);
+  EXPECT_GE(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kSuspiciousBehavior),
+            1u);
 
   auto response = server.Get("/__status/slow", "10.0.0.1");
   ASSERT_EQ(response.status, http::StatusCode::kOk);

@@ -10,6 +10,7 @@
 #include "http/doc_tree.h"
 #include "http/response.h"
 #include "integration/gaa_web_server.h"
+#include "testing/helpers.h"
 
 namespace gaa::web {
 namespace {
@@ -60,7 +61,7 @@ TEST(RegistryLookups, WarmServingPathLooksNothingUp) {
 
   round(0);
   round(1);
-  const std::uint64_t reports = server.ids().report_count();
+  const std::uint64_t reports = testing::IdsReportCount(registry);
   const std::uint64_t options_decisions =
       CounterValue(registry, "gaa_decisions_total",
                    "right=\"OPTIONS\",outcome=\"yes\"");
@@ -71,7 +72,7 @@ TEST(RegistryLookups, WarmServingPathLooksNothingUp) {
   EXPECT_EQ(registry.lookups(), before)
       << "a warm request or report looked a series up by string";
   // The loop really took the paths it claims to.
-  EXPECT_EQ(server.ids().report_count(), reports + 48);
+  EXPECT_EQ(testing::IdsReportCount(registry), reports + 48);
   EXPECT_EQ(CounterValue(registry, "gaa_decisions_total",
                          "right=\"OPTIONS\",outcome=\"yes\""),
             options_decisions + 48);

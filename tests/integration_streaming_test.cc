@@ -6,6 +6,7 @@
 
 #include "http/doc_tree.h"
 #include "integration/gaa_web_server.h"
+#include "testing/helpers.h"
 #include "util/config.h"
 
 namespace gaa::web {
@@ -41,7 +42,9 @@ mid_cond_cpu local 0.2
   EXPECT_EQ(response.status, StatusCode::kForbidden);
   EXPECT_NE(response.body.find("aborted"), std::string::npos);
   // The abort was a *mid-flight* kill, reported as suspicious behaviour.
-  EXPECT_GE(server.ids().CountKind(core::ReportKind::kSuspiciousBehavior), 1u);
+  EXPECT_GE(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kSuspiciousBehavior),
+            1u);
 }
 
 TEST(StreamingExecution, OutputLimitAbortsEarly) {

@@ -8,6 +8,7 @@
 #include "gaa/context.h"
 #include "http/doc_tree.h"
 #include "integration/gaa_web_server.h"
+#include "testing/helpers.h"
 #include "util/rng.h"
 
 namespace gaa {
@@ -105,12 +106,16 @@ TEST(AbnormalParameters, OversizedQueryIsReported) {
   ASSERT_TRUE(server.SetLocalPolicy("/", "pos_access_right apache *\n").ok());
   // Normal request: no report.
   server.Get("/cgi-bin/search?q=apache", "10.0.0.1");
-  EXPECT_EQ(server.ids().CountKind(core::ReportKind::kAbnormalParameters), 0u);
+  EXPECT_EQ(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kAbnormalParameters),
+            0u);
   // 3000-byte query: reported but still policy-decided (here: served).
   auto response = server.Get("/cgi-bin/search?q=" + std::string(3000, 'a'),
                              "10.0.0.1");
   EXPECT_EQ(response.status, http::StatusCode::kOk);
-  EXPECT_EQ(server.ids().CountKind(core::ReportKind::kAbnormalParameters), 1u);
+  EXPECT_EQ(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kAbnormalParameters),
+            1u);
 }
 
 TEST(AbnormalParameters, ManyHeadersReported) {
@@ -122,7 +127,9 @@ TEST(AbnormalParameters, ManyHeadersReported) {
   }
   server.HandleText(http::BuildGetRequest("/index.html", headers),
                     "10.0.0.1");
-  EXPECT_EQ(server.ids().CountKind(core::ReportKind::kAbnormalParameters), 1u);
+  EXPECT_EQ(testing::IdsReportCount(server.telemetry().registry(),
+                                    core::ReportKind::kAbnormalParameters),
+            1u);
 }
 
 TEST(AbnormalParameters, AllSevenReportKindsHaveNames) {

@@ -1,7 +1,9 @@
 // Shared test fixtures and fakes.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "gaa/registry.h"
 #include "gaa/services.h"
 #include "gaa/system_state.h"
+#include "telemetry/metrics.h"
 #include "util/clock.h"
 #include "util/ip.h"
 
@@ -39,6 +42,23 @@ class RecordingIds final : public core::IdsChannel {
   std::vector<core::IdsReport> reports;
   std::vector<std::string> spoofed;
 };
+
+/// Reports an IntrusionDetectionSystem counted in `ids_reports_total`: of
+/// `kind`, or of every kind when none is given.  Reads
+/// MetricRegistry::List(), so it creates no series.
+inline std::uint64_t IdsReportCount(
+    const telemetry::MetricRegistry& registry,
+    std::optional<core::ReportKind> kind = std::nullopt) {
+  const std::string labels =
+      kind ? std::string("kind=\"") + core::ReportKindName(*kind) + "\"" : "";
+  std::uint64_t count = 0;
+  for (const auto& e : registry.List()) {
+    if (e.name == "ids_reports_total" && (!kind || e.labels == labels)) {
+      count += e.counter->Value();
+    }
+  }
+  return count;
+}
 
 /// Everything a condition/evaluation test needs, wired to a simulated clock
 /// and latency-free notification.

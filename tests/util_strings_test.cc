@@ -131,6 +131,12 @@ TEST(Base64, RejectsGarbage) {
   EXPECT_FALSE(Base64Decode("ab=c").has_value());    // data after padding
 }
 
+TEST(AppendJsonEscaped, EscapesQuotesBackslashesAndControlBytes) {
+  std::string out = "[";
+  AppendJsonEscaped("a\"b\\c\nd\re\tf\x01g", &out);
+  EXPECT_EQ(out, "[a\\\"b\\\\c\\nd\\re\\tf\\u0001g");
+}
+
 // Property: decode(encode(x)) == x over assorted binary strings.
 class Base64RoundTrip : public ::testing::TestWithParam<int> {};
 
